@@ -1,9 +1,9 @@
 // Throughput of the threaded ingest pipeline (src/ingest) against the
 // serial LiveCollector loop on the same exported datagram stream.
 //
-// The serial baseline is flowtools::LiveCollector the way app/node drives
-// it without --ingest-threads: one thread interleaving socket polling,
-// NetFlow v5 decode, and engine processing. The threaded runs put
+// The serial baseline is flowtools::LiveCollector driven the classic way:
+// one thread interleaving socket polling, NetFlow v5 decode, and engine
+// processing (the shape of the paper's prototype collector). The threaded runs put
 // receiver thread(s) -- each decoding inline and dispatching directly
 // into the ShardedRuntime as its own producer (no decode-thread hop) --
 // on the same stream and report records/sec plus the pipeline's loss
@@ -159,8 +159,8 @@ struct Measurement {
   std::uint64_t shard_peak_max = 0;  ///< occupancy during the run
 };
 
-/// The serial baseline: LiveCollector + one engine on one thread, the
-/// exact loop app/node runs without --ingest-threads.
+/// The serial baseline: LiveCollector + one engine on one thread, polling
+/// and analyzing in one loop.
 Measurement run_serial(const Workload& w) {
   auto collector = flowtools::LiveCollector::bind({0});
   if (!collector) {
@@ -328,7 +328,6 @@ std::uint64_t probe_steady_allocs(const Workload& w) {
 std::string ingest_json(const ingest::IngestStats& s) {
   std::string out;
   out += "\"kernel_drops\": " + std::to_string(s.kernel_drops);
-  out += ", \"dropped_oldest\": " + std::to_string(s.dropped_oldest);
   out += ", \"records_shed\": " + std::to_string(s.records_shed);
   out += ", \"sequence_gaps\": " + std::to_string(s.sequence_gaps);
   out += ", \"socket_errors\": " + std::to_string(s.socket_errors);

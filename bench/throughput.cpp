@@ -1,17 +1,16 @@
 // Throughput of the sharded detection runtime (src/runtime) against the
-// serial engine on the same Section 6 testbed workload.
+// serial batched engine on the same Section 6 testbed workload.
 //
 // The paper's prototype analyzed one POP's NetFlow feed on one CPU; the
 // runtime is the piece that scales the identical pipeline across cores.
 // This bench replays one generated testbed stream (sim::generate_stream)
-// through (a) a single InFilterEngine calling process() per flow, (b) the
-// same engine calling process_batch() in 256-flow chunks, and (c) a
-// ShardedRuntime at several shard counts, and writes BENCH_throughput.json:
-// records/sec, speedup vs serial, and the runtime's drop/backpressure
-// counters. Speedups are only
-// meaningful up to `hardware_threads` (reported in the JSON) -- on a
-// single-core host every shard count serializes onto one CPU and the
-// sharded numbers mostly measure dispatch overhead.
+// through (a) a single InFilterEngine calling process_batch() in 256-flow
+// chunks -- the serial baseline -- and (b) a ShardedRuntime at several
+// shard counts, and writes BENCH_throughput.json: records/sec, speedup vs
+// the serial baseline, and the runtime's drop/backpressure counters.
+// Speedups are only meaningful up to `hardware_threads` (reported in the
+// JSON) -- on a single-core host every shard count serializes onto one CPU
+// and the sharded numbers mostly measure dispatch overhead.
 //
 // Usage:
 //   throughput [--smoke]            # small preset, used by the ctest entry
@@ -55,8 +54,7 @@ using namespace infilter;
 namespace {
 
 struct Measurement {
-  int shards = 0;       ///< 0 = serial engine
-  bool batched = false; ///< serial process_batch() instead of process()
+  int shards = 0;       ///< 0 = serial engine (process_batch)
   int producers = 0;    ///< concurrent submitters (sharded runs)
   double seconds = 0;
   double records_per_sec = 0;
@@ -87,30 +85,6 @@ void preload_eia(const sim::ExperimentConfig& config,
   }
 }
 
-Measurement run_serial(const sim::ExperimentConfig& config,
-                       const sim::TestbedStream& stream,
-                       std::shared_ptr<const core::TrainedClusters> clusters) {
-  core::InFilterEngine engine(engine_config(config));
-  preload_eia(config, [&](core::IngressId ingress, const net::Prefix& prefix) {
-    engine.add_expected(ingress, prefix);
-  });
-  engine.set_clusters(std::move(clusters));
-
-  Measurement m;
-  const auto start = std::chrono::steady_clock::now();
-  for (const auto& flow : stream.flows) {
-    const auto verdict =
-        engine.process(flow.record, flow.arrival_port, flow.record.last);
-    m.attacks += verdict.attack ? 1 : 0;
-  }
-  m.seconds = std::chrono::duration<double>(
-                  std::chrono::steady_clock::now() - start)
-                  .count();
-  m.records_per_sec =
-      m.seconds > 0 ? static_cast<double>(stream.flows.size()) / m.seconds : 0;
-  return m;
-}
-
 Measurement run_serial_batch(const sim::ExperimentConfig& config,
                              const sim::TestbedStream& stream,
                              std::shared_ptr<const core::TrainedClusters> clusters) {
@@ -125,7 +99,6 @@ Measurement run_serial_batch(const sim::ExperimentConfig& config,
   std::vector<core::Verdict> verdicts(kBatch);
 
   Measurement m;
-  m.batched = true;
   const auto start = std::chrono::steady_clock::now();
   for (std::size_t begin = 0; begin < stream.flows.size();) {
     const std::size_t n = std::min(kBatch, stream.flows.size() - begin);
@@ -313,15 +286,13 @@ std::string to_json(const Measurement& m, double serial_rps) {
     out += ", \"shards\": " + std::to_string(m.shards);
     out += ", \"producers\": " + std::to_string(m.producers);
   } else {
-    out += m.batched ? "\"mode\": \"serial_batch\"" : "\"mode\": \"serial\"";
+    out += "\"mode\": \"serial_batch\"";
   }
   out += ", \"seconds\": " + obs::format_number(m.seconds);
   out += ", \"records_per_sec\": " + obs::format_number(m.records_per_sec);
-  if ((m.shards > 0 || m.batched) && serial_rps > 0) {
+  if (m.shards > 0 && serial_rps > 0) {
     out += ", \"speedup_vs_serial\": " +
            obs::format_number(m.records_per_sec / serial_rps);
-  }
-  if (m.shards > 0 && serial_rps > 0) {
     out += ", \"dropped\": " + obs::format_number(static_cast<double>(m.dropped));
     out += ", \"backpressure_waits\": " +
            obs::format_number(static_cast<double>(m.backpressure_waits));
@@ -431,18 +402,10 @@ int main(int argc, char** argv) {
   const auto clusters = sim::train_clusters(config);
   std::printf("replaying %zu records\n", stream.flows.size());
 
-  const auto serial = run_serial(config, stream, clusters);
-  std::printf("serial: %.0f records/sec (%llu attack verdicts)\n",
+  const auto serial = run_serial_batch(config, stream, clusters);
+  std::printf("serial_batch: %.0f records/sec (%llu attack verdicts)\n",
               serial.records_per_sec,
               static_cast<unsigned long long>(serial.attacks));
-
-  const auto serial_batch = run_serial_batch(config, stream, clusters);
-  std::printf("serial_batch: %.0f records/sec (%.2fx serial, %llu attack verdicts)\n",
-              serial_batch.records_per_sec,
-              serial.records_per_sec > 0
-                  ? serial_batch.records_per_sec / serial.records_per_sec
-                  : 0.0,
-              static_cast<unsigned long long>(serial_batch.attacks));
 
   std::vector<Measurement> sharded;
   for (const int shards : thread_counts) {
@@ -481,7 +444,6 @@ int main(int argc, char** argv) {
   }
   doc += "  \"runs\": [\n";
   doc += to_json(serial, 0);
-  doc += ",\n" + to_json(serial_batch, serial.records_per_sec);
   for (const auto& m : sharded) {
     doc += ",\n" + to_json(m, serial.records_per_sec);
   }

@@ -62,7 +62,7 @@ if [[ "$run_tsan" == 1 ]]; then
   cmake --preset tsan
   cmake --build --preset tsan -j "$jobs"
   ./build-tsan/tests/infilter_tests \
-    --gtest_filter='ShardedRuntime*:SpscRing*:SerializingSink*:Node*:Ingest*:Tracer*:TraceRuntime*:TraceRing*:ThreadLane*:EiaBackend*:EiaBackendParse*:EiaTable*:EiaIo*'
+    --gtest_filter='ShardedRuntime*:SpscRing*:SerializingSink*:Node*:InFilterNode*:Ingest*:Tracer*:TraceRuntime*:TraceRing*:ThreadLane*:EiaBackend*:EiaBackendParse*:EiaTable*:EiaIo*'
 fi
 
 if [[ "$run_producers" == 1 ]]; then

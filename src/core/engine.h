@@ -129,60 +129,55 @@ class InFilterEngine {
   // -- Normal processing phase (Figure 12) --
 
   /// Processes one incoming flow observed at `ingress` at virtual time
-  /// `now`. Emits an IDMEF alert through the sink on attack verdicts.
+  /// `now`. Emits an IDMEF alert through the sink on attack verdicts. A
+  /// batch of one over process_batch(): a convenience, not a second
+  /// pipeline.
   Verdict process(const netflow::V5Record& record, IngressId ingress,
                   util::TimeMs now);
 
-  /// Batched equivalent of process(): out[i] is bit-for-bit what
-  /// process(flows[i]...) returns, the stateful stages (EIA learning, scan
-  /// buffer) observe flows in batch order, alerts reach the sink in flow
-  /// order with the same ids and content, and every counter reaches the
-  /// same total. What batching buys: the NNS stage runs once over the
-  /// whole batch through TrainedClusters::assess_batch (contiguous probe
-  /// tables, pooled encodings -- zero per-flow allocations at steady
-  /// state). Latency histograms record batch-amortized per-flow values.
+  /// The Figure 12 pipeline over a batch: out[i] is the verdict of flows[i],
+  /// the stateful stages (EIA learning, hop-count learning, scan buffer)
+  /// observe flows in batch order, alerts reach the sink in flow order, and
+  /// verdicts, alert ids/contents and counter totals do not depend on how
+  /// a flow sequence is cut into batches (tests/test_batch.cpp pins batch
+  /// sizes 1, 7 and 256 bit-for-bit). What batching buys: the NNS stage
+  /// runs once over the whole batch through TrainedClusters::assess_batch
+  /// (contiguous probe tables, pooled encodings -- zero per-flow
+  /// allocations at steady state). Latency histograms record
+  /// batch-amortized per-flow values.
   /// Precondition: flows.size() == out.size().
   void process_batch(std::span<const FlowInput> flows, std::span<Verdict> out);
 
-  // -- Split pipeline (the sharded runtime's shared scan stage) --
+  // -- The two halves of process_batch (the sharded runtime's split) --
   //
-  // process() == pre_process() then, for suspects, finish_suspect() on the
-  // same engine. The split exists so the runtime can run the EIA stage on
-  // per-shard engines (state keyed by the shard hash) while one shared
-  // engine runs the destination-keyed stages for every shard's suspects in
-  // the one total dispatch order the runtime's sequence tags define --
-  // with one producer that is submission order; with several it is the
-  // realized claim order (runtime/runtime.h). The two halves divide the per-flow metrics
-  // between them: pre_process owns flows_total, the EIA stage counters and
-  // the legal-flow verdict/latency metrics; finish_suspect owns the
+  // process_batch() == pre_process_batch() then finish_suspect_batch() over
+  // the suspects, on the same engine. The split exists so the runtime can
+  // run the EIA stage on per-shard engines (state keyed by the shard hash)
+  // while one shared engine runs the destination-keyed stages for every
+  // shard's suspects in the one total dispatch order the runtime's
+  // sequence tags define -- with one producer that is submission order;
+  // with several it is the realized claim order (runtime/runtime.h). The
+  // halves divide the per-flow metrics between them: pre_process_batch
+  // owns flows_total, the EIA and hop-count stage counters and the
+  // legal-flow verdict/latency metrics; finish_suspect_batch owns the
   // scan/NNS stage counters, the suspect verdict/latency metrics and alert
   // emission -- so a merged snapshot over both engines reaches exactly the
   // serial engine's totals.
 
-  /// The EIA stage of process() alone: the membership check plus the
-  /// Section 5.2 auto-learning rule. Returns false for a legal flow
-  /// (`verdict` is final); returns true for a suspect (`verdict.suspect`
-  /// set, attack verdict undecided) and fills `suspect` for a
-  /// finish_suspect() call -- on this engine or another one.
-  bool pre_process(const netflow::V5Record& record, IngressId ingress,
-                   util::TimeMs now, Verdict& verdict, SuspectFlow& suspect);
-
-  /// The post-EIA stages of process() alone: scan analysis -> NNS ->
-  /// alert emission, against *this* engine's scan buffer, clusters and
-  /// sink.
-  Verdict finish_suspect(const SuspectFlow& suspect);
-
-  /// Batched pre_process: out[i] is final for legal flows; suspect flows
-  /// are appended to `suspects` (their batch positions to `positions`)
-  /// with out[i].suspect set, for a finish_suspect_batch() elsewhere.
+  /// The EIA stage alone: the membership check, the TTL witness and the
+  /// Section 5.2 auto-learning rule. out[i] is final for legal flows;
+  /// suspect flows get out[i].suspect set (attack verdict undecided) and
+  /// are appended to `suspects` (their batch positions to `positions`) for
+  /// a finish_suspect_batch() call -- on this engine or another one.
   /// Neither vector is cleared. Precondition: flows.size() == out.size().
   void pre_process_batch(std::span<const FlowInput> flows, std::span<Verdict> out,
                          std::vector<SuspectFlow>& suspects,
                          std::vector<std::uint32_t>& positions);
 
-  /// Batched finish_suspect: the stateful scan stage observes suspects in
-  /// span order, the NNS stage runs once over the whole batch, and alerts
-  /// are emitted in span order -- bit-for-bit the per-suspect results.
+  /// The post-EIA stages alone: scan analysis -> NNS -> alert emission,
+  /// against *this* engine's scan buffer, clusters and sink. The stateful
+  /// scan stage observes suspects in span order, the NNS stage runs once
+  /// over the whole batch, and alerts are emitted in span order.
   /// Precondition: suspects.size() == out.size().
   void finish_suspect_batch(std::span<const SuspectFlow> suspects,
                             std::span<Verdict> out);
@@ -238,10 +233,10 @@ class InFilterEngine {
 
  private:
   /// Alert construction with the expected-ingress context precomputed:
-  /// pre_process snapshots it at EIA-check time (before later flows mutate
-  /// the EIA table that produced it), so emission can happen arbitrarily
-  /// later -- or on another engine -- with the per-flow alert content
-  /// reproduced exactly. No sink, no alert: the verdict counters already
+  /// pre_process_batch snapshots it at EIA-check time (before later flows
+  /// mutate the EIA table that produced it), so emission can happen
+  /// arbitrarily later -- or on another engine -- with the per-flow alert
+  /// content reproduced exactly. No sink, no alert: the verdict counters already
   /// account for the detection, and alert ids stay dense over *delivered*
   /// alerts. Precondition: sink_ != nullptr.
   void emit_alert_with(const netflow::V5Record& record, IngressId ingress,

@@ -48,11 +48,6 @@ IngestPipeline::IngestPipeline(IngestConfig config, DispatchFn dispatch,
     config_.slot_bytes = netflow::kV5HeaderBytes;
   }
   if (config_.recv_batch < 1) config_.recv_batch = 1;
-  // Decode is inline, so only one receive batch of slots is ever in
-  // flight; the arena just needs to cover it.
-  if (config_.arena_slots < config_.recv_batch) {
-    config_.arena_slots = config_.recv_batch;
-  }
   if (config_.dispatch_batch < 1) config_.dispatch_batch = 1;
 
   owned_registry_ = std::make_unique<obs::Registry>();
@@ -66,9 +61,6 @@ IngestPipeline::IngestPipeline(IngestConfig config, DispatchFn dispatch,
   truncated_ = &registry_->counter(
       "infilter_ingest_truncated_total",
       "datagrams longer than a buffer slot, dropped before decode");
-  dropped_oldest_ = &registry_->counter(
-      "infilter_ingest_dropped_oldest_total",
-      "always zero since receiver-direct dispatch (kept for compatibility)");
   kernel_drops_ = &registry_->counter(
       "infilter_ingest_kernel_drops_total",
       "datagrams the kernel dropped at the socket queue (SO_RXQ_OVFL)");
@@ -132,7 +124,7 @@ util::Result<std::unique_ptr<IngestPipeline>> IngestPipeline::create(
   const auto producers = std::min<std::size_t>(
       static_cast<std::size_t>(cfg.receiver_threads), pipeline->sockets_.size());
   for (std::size_t p = 0; p < producers; ++p) {
-    auto producer = std::make_unique<Producer>(cfg.arena_slots, cfg.slot_bytes);
+    auto producer = std::make_unique<Producer>(cfg.recv_batch, cfg.slot_bytes);
     for (std::size_t s = p; s < pipeline->sockets_.size(); s += producers) {
       producer->sockets.push_back(s);
     }
@@ -277,7 +269,7 @@ std::size_t IngestPipeline::receive_batch(Producer& producer, Socket& socket,
 #endif  // __linux__
   {
     // Portable single-datagram path (also the want == 1 fast path): the
-    // same allocation-free receive_into() the serial LiveCollector uses.
+    // allocation-free UdpReceiver::receive_into().
     const std::uint32_t slot = free_slots.back();
     auto received = socket.receiver.receive_into(
         std::span(producer.arena.get() + std::size_t{slot} * slot_bytes, slot_bytes));
@@ -323,9 +315,10 @@ void IngestPipeline::receiver_main(Producer& producer, std::size_t index) {
     lane = tracer->register_thread("recv-" + std::to_string(index), "receiver");
   }
   // The receiver owns every arena slot; decode is inline and copies
-  // records out, so slots recycle within the batch and the pool can never
-  // run dry.
-  std::vector<std::uint32_t> free_slots(config_.arena_slots);
+  // records out, so one receive batch is all that is ever in flight: the
+  // arena is exactly recv_batch slots, all of them free again by the next
+  // receive.
+  std::vector<std::uint32_t> free_slots(config_.recv_batch);
   std::iota(free_slots.begin(), free_slots.end(), 0U);
 
   std::vector<pollfd> fds;
@@ -575,7 +568,6 @@ IngestStats IngestPipeline::stats() const {
   stats.datagrams_decoded = decoded_->value();
   stats.datagrams_malformed = malformed_->value();
   stats.datagrams_truncated = truncated_->value();
-  stats.dropped_oldest = dropped_oldest_->value();
   stats.kernel_drops = kernel_drops_->value();
   stats.records_decoded = records_->value();
   stats.records_dispatched = dispatched_->value();

@@ -1,17 +1,16 @@
 // Threaded live ingest: the receiving half of Figure 9 at line rate.
 //
 // "A NetFlow enabled router will periodically send datagrams to a
-// pre-designated receiver node" -- flowtools::LiveCollector models that
-// node with one polling thread that allocates 64 KiB per datagram and
-// interleaves receive, decode, and detection. This subsystem is the
-// production-shaped replacement: R receiver threads each run the whole
-// receive -> decode -> dispatch lane to completion on their own core, and
-// the hot path runs without a single steady-state heap allocation.
+// pre-designated receiver node" -- this subsystem is that node's receiving
+// side, and the live node's (app/node) only one: R receiver threads each
+// run the whole receive -> decode -> dispatch lane to completion on their
+// own core, and the hot path runs without a single steady-state heap
+// allocation.
 //
 //   socket(s) --recvmmsg--> [receiver thread r]*R --decode inline--> submit_batch(items, r)
 //                             pooled slot arena     netflow v5 parse,    ShardedRuntime's
-//                             (slots reused per     stream accounting,   per-(producer, shard)
-//                              receive batch)       FlowItem batching    SPSC rings
+//                             (recv_batch slots,    stream accounting,   per-(producer, shard)
+//                              reused per batch)    FlowItem batching    SPSC rings
 //
 // Stage contract:
 //   * Each receiver thread owns a pooled buffer arena, its share of the
@@ -22,22 +21,19 @@
 //     records straight to the dispatch function as that producer -- no
 //     hand-off ring, no dedicated decode/dispatcher thread, no cross-core
 //     hop between the socket and the shard rings. Slots recycle within
-//     the batch (records are copied out at decode), so the arena never
-//     runs dry and at most recv_batch slots are ever in flight.
+//     the batch (records are copied out at decode), so the arena is
+//     exactly recv_batch slots and never runs dry.
 //   * Between receive batches the receiver publishes an idle beacon
 //     (ShardedRuntime::producer_idle) so its producer slot never holds
 //     back the other receivers' flows in the runtime's tag-order merge;
 //     the poll timeout bounds the beacon's staleness.
 //
-// Overload: the pipeline itself no longer queues, so overload lives at
-// its two edges. Upstream, a receiver that cannot keep up (or one blocked
-// by a kBlock runtime) backs traffic into the kernel socket queue, whose
-// drops stay visible through the SO_RXQ_OVFL readout
+// Overload: the pipeline itself does not queue, so overload lives at its
+// two edges. Upstream, a receiver that cannot keep up (or one blocked by a
+// kBlock runtime) backs traffic into the kernel socket queue, whose drops
+// stay visible through the SO_RXQ_OVFL readout
 // (infilter_ingest_kernel_drops_total). Downstream, a kDrop runtime
-// refuses records at submit_batch, counted as records_shed. The
-// OverloadPolicy knob is retained for configuration compatibility but
-// selects nothing anymore -- there is no internal queue left to govern --
-// and dropped_oldest stays at zero.
+// refuses records at submit_batch, counted as records_shed.
 //
 // Drain/shutdown is two-phase, mirroring ShardedRuntime::flush():
 //   phase 1  drain(): every datagram the receivers accepted is decoded
@@ -49,11 +45,11 @@
 //
 // Ordering semantics: each socket's datagram stream is decoded by one
 // fixed receiver in kernel receive order, so single-socket verdict
-// streams are bit-identical to the serial LiveCollector path (pinned by
-// tests/test_ingest.cpp). Across sockets the interleaving is whatever the
-// threads make it -- the same nondeterminism a serial collector already
-// has across ports -- and the runtime's sequence tags capture whichever
-// interleaving was realized.
+// streams are bit-identical to one serial engine fed the same datagrams
+// in receive order (pinned by tests/test_ingest.cpp). Across sockets the
+// interleaving is whatever the threads make it -- the same
+// nondeterminism a serial collector already has across ports -- and the
+// runtime's sequence tags capture whichever interleaving was realized.
 //
 // CPU placement: with a non-empty cpu_set, receiver r pins itself to
 // cpu_set[(cpu_slot_offset + r) % size] (runtime/affinity.h). app/node
@@ -81,21 +77,12 @@
 
 namespace infilter::ingest {
 
-/// Retained for configuration compatibility. Receiver-direct dispatch has
-/// no internal queue, so the policy selects nothing: overload is governed
-/// by the kernel socket buffer upstream and the dispatcher's own
-/// backpressure policy downstream.
-enum class OverloadPolicy : std::uint8_t {
-  kBlock,       ///< (vestigial) lossless; kernel queue absorbs
-  kDropOldest,  ///< (vestigial) pair with a kDrop runtime to shed instead
-};
-
 struct IngestConfig {
   /// Collector UDP ports, one socket each (0 entries bind ephemeral
   /// ports; read the assignments from ports()).
   std::vector<std::uint16_t> ports;
   /// Ingress id attributed to each port's traffic, parallel to `ports`.
-  /// Empty = use the bound port number itself (the LiveCollector
+  /// Empty = use the bound port number itself (the flowtools capture
   /// convention). An explicit mapping keeps ingress ids stable when
   /// binding ephemeral ports.
   std::vector<core::IngressId> ingress_ids;
@@ -103,14 +90,11 @@ struct IngestConfig {
   /// maps to downstream producer slot r; sockets are distributed
   /// round-robin; clamped to [1, ports.size()].
   int receiver_threads = 1;
-  /// Pooled datagram buffers per receiver thread. Only recv_batch slots
-  /// are ever in flight at once (slots recycle within a batch), so this
-  /// is clamped up to recv_batch and mostly a compatibility knob.
-  std::size_t arena_slots = 1024;
   /// Bytes per buffer slot. A v5 export datagram is at most 1464 bytes;
   /// longer datagrams are counted truncated and dropped before decode.
   std::size_t slot_bytes = 2048;
-  /// Datagrams per recvmmsg() batch.
+  /// Datagrams per recvmmsg() batch; also the receiver's arena size in
+  /// slots (one batch is all that is ever in flight).
   std::size_t recv_batch = 32;
   /// FlowItems accumulated before a dispatch call.
   std::size_t dispatch_batch = 256;
@@ -118,7 +102,6 @@ struct IngestConfig {
   /// This is the only queue in front of the receivers -- all slack lives
   /// here.
   int socket_rcvbuf = 1 << 20;
-  OverloadPolicy overload = OverloadPolicy::kBlock;
   /// CPU placement (runtime/affinity.h): empty = unpinned. Receiver r
   /// pins to cpu_set[(cpu_slot_offset + r) % size].
   std::vector<int> cpu_set;
@@ -146,7 +129,6 @@ struct IngestStats {
   std::uint64_t datagrams_decoded = 0;    ///< parsed as NetFlow v5
   std::uint64_t datagrams_malformed = 0;  ///< failed v5 parse (incl. zero-length)
   std::uint64_t datagrams_truncated = 0;  ///< longer than slot_bytes, dropped
-  std::uint64_t dropped_oldest = 0;       ///< always 0 (kept for compatibility)
   std::uint64_t kernel_drops = 0;         ///< SO_RXQ_OVFL readout (socket queue)
   std::uint64_t records_decoded = 0;      ///< flow records parsed
   std::uint64_t records_dispatched = 0;   ///< accepted by the dispatcher
@@ -304,7 +286,6 @@ class IngestPipeline {
   obs::Counter* decoded_;
   obs::Counter* malformed_;
   obs::Counter* truncated_;
-  obs::Counter* dropped_oldest_;
   obs::Counter* kernel_drops_;
   obs::Counter* records_;
   obs::Counter* dispatched_;

@@ -61,15 +61,15 @@
 // the training-phase calls take the submit gate exclusively: they are
 // safe to call while producers are live -- submits briefly block, the
 // gate-holder advances every producer's published watermark (no claims
-// can be in flight), waits for quiescence, and releases. The legacy
-// single-argument submit*/flush/snapshot API is exactly the old
-// single-dispatcher usage: producer 0, no concurrency to guard. Alerts
-// funnel through one alert::SerializingSink, so any AlertSink works
-// unmodified; with the scan stage active only the scan engine emits
-// (legal flows never alert). Workers spin briefly when idle, then park on
-// a per-shard condition variable; a producer wakes a parked worker only
-// when it pushes into that worker's rings. The scan thread parks the same
-// way and is woken by workers forwarding suspects.
+// can be in flight), waits for quiescence, and releases. A caller that
+// never names a producer submits as producer 0: the single-dispatcher
+// shape, no concurrency to guard. Alerts funnel through one
+// alert::SerializingSink, so any AlertSink works unmodified; with the
+// scan stage active only the scan engine emits (legal flows never
+// alert). Workers spin briefly when idle, then park on a per-shard
+// condition variable; a producer wakes a parked worker only when it
+// pushes into that worker's rings. The scan thread parks the same way and
+// is woken by workers forwarding suspects.
 //
 // CPU placement: when RuntimeConfig::cpu_set is non-empty, each worker
 // pins itself to cpu_set[(cpu_slot_offset + shard index) % size] and the
@@ -80,8 +80,9 @@
 //
 // Backpressure: when a shard ring is full the producer either blocks
 // (kBlock: waits for the worker to drain, counting the waits) or sheds the
-// flow (kDrop: counts it and returns false). Both counters are runtime
-// metrics, exported alongside the merged per-shard engine metrics.
+// flow (kDrop: counts it and leaves it out of submit_batch's accepted
+// count). Both counters are runtime metrics, exported alongside the
+// merged per-shard engine metrics.
 
 #pragma once
 
@@ -115,7 +116,7 @@ struct RuntimeConfig {
   /// Producer slots. Each slot owns one SPSC ring per shard plus a
   /// published sequence watermark; each slot must be driven by at most one
   /// thread at a time. The live-ingest pipeline maps receiver thread i to
-  /// producer i; the legacy submit*/submit_batch(span) API is producer 0.
+  /// producer i; submit_batch's default producer is 0.
   int producers = 1;
   /// Per-(producer, shard) ring capacity (rounded up to a power of two).
   std::size_t queue_depth = 4096;
@@ -152,7 +153,7 @@ struct RuntimeConfig {
 
 /// Producer/worker accounting, all monotone over the runtime's life.
 struct RuntimeStats {
-  std::uint64_t submitted = 0;           ///< flows offered to submit*()
+  std::uint64_t submitted = 0;           ///< flows offered to submit_batch()
   std::uint64_t dispatched = 0;          ///< flows accepted into a ring
   std::uint64_t dropped = 0;             ///< flows shed under kDrop
   std::uint64_t backpressure_waits = 0;  ///< full-ring waits under kBlock
@@ -231,16 +232,16 @@ class ShardedRuntime {
   [[nodiscard]] static std::size_t shard_of(net::IPv4Address source,
                                             std::size_t shards);
 
-  /// Enqueues one flow via producer 0. Returns false only when the
-  /// backpressure policy is kDrop and the target ring stayed full.
-  bool submit(const netflow::V5Record& record, core::IngressId ingress,
-              util::TimeMs now, std::uint64_t tag = 0);
-  /// Enqueues a batch through one producer slot, amortizing the tag claim
-  /// and the per-ring synchronization: one fetch_add claims the whole tag
-  /// range, items are bucketed per shard, and each bucket is pushed with
-  /// one batched ring operation. Returns how many flows were accepted
-  /// (all, under kBlock). `producer` must be < producer_count() and
-  /// driven by one thread at a time.
+  /// Enqueues a batch -- the only way flows enter the runtime -- through
+  /// one producer slot, amortizing the tag claim and the per-ring
+  /// synchronization: one fetch_add claims the whole tag range, items are
+  /// bucketed per shard, and each bucket is pushed with one batched ring
+  /// operation. Returns how many flows were accepted: all under kBlock;
+  /// under kDrop, the items whose ring had room (a shard's accepted items
+  /// are a prefix of its bucket); none after shutdown(). Only accepted
+  /// flows reach the VerdictHook. A single-flow call is a batch of one.
+  /// `producer` must be < producer_count() and driven by one thread at a
+  /// time.
   std::size_t submit_batch(std::span<const FlowItem> items, int producer = 0);
 
   /// Tells the merge that `producer` has no submission in flight: its
@@ -395,8 +396,6 @@ class ShardedRuntime {
     std::uint64_t watermark = 0;
   };
   MergeResult merge_batch(Shard& shard, FlowItem* batch, std::size_t max);
-  bool push_with_backpressure(Shard& shard, SpscRing<FlowItem>& ring,
-                              const FlowItem& item);
   std::size_t push_batch_with_backpressure(Shard& shard, SpscRing<FlowItem>& ring,
                                            std::span<const FlowItem> items);
   void note_occupancy(Shard& shard);

@@ -75,6 +75,9 @@ SoakResult run_soak(const SoakConfig& config) {
 
   SoakResult out;
   util::TimeMs offset = 0;
+  constexpr std::size_t kSubmitBatch = 256;
+  std::vector<runtime::FlowItem> batch;
+  batch.reserve(kSubmitBatch);
   ExperimentConfig wave_config = config.base;
   for (int w = 0; w < config.waves; ++w) {
     for (const SoakResize& resize : config.resizes) {
@@ -103,7 +106,11 @@ SoakResult run_soak(const SoakConfig& config) {
       const auto& flow = wave_stream.flows[i];
       const auto arrival =
           offset + static_cast<util::TimeMs>(flow.record.last);
-      runtime.submit(flow.record, flow.arrival_port, arrival, i);
+      batch.push_back(runtime::FlowItem{flow.record, flow.arrival_port, arrival, i});
+      if (batch.size() == kSubmitBatch || i + 1 == wave_stream.flows.size()) {
+        runtime.submit_batch(batch);
+        batch.clear();
+      }
       span = std::max(span, static_cast<util::TimeMs>(flow.record.last));
     }
     runtime.flush();

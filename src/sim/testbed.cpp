@@ -365,9 +365,17 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
       }
     }
     if (needs_clusters) runtime.set_clusters(clusters);
+    constexpr std::size_t kSubmitBatch = 256;
+    std::vector<runtime::FlowItem> batch;
+    batch.reserve(kSubmitBatch);
     for (std::size_t i = 0; i < stream.flows.size(); ++i) {
       const auto& flow = stream.flows[i];
-      runtime.submit(flow.record, flow.arrival_port, flow.record.last, i);
+      batch.push_back(
+          runtime::FlowItem{flow.record, flow.arrival_port, flow.record.last, i});
+      if (batch.size() == kSubmitBatch || i + 1 == stream.flows.size()) {
+        runtime.submit_batch(batch);
+        batch.clear();
+      }
     }
     runtime.flush();
     result = scorer.finalize();

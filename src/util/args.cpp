@@ -33,22 +33,49 @@ std::int64_t Args::int_or(const std::string& name, std::int64_t fallback) const 
   return std::strtoll(text->c_str(), nullptr, 10);
 }
 
+namespace {
+
+/// One checked_int token: a whole base-10 number within [min, max].
+Result<std::int64_t> parse_checked(const std::string& name, const std::string& text,
+                                   std::int64_t min, std::int64_t max) {
+  errno = 0;
+  char* end = nullptr;
+  const long long parsed = std::strtoll(text.c_str(), &end, 10);
+  if (end == text.c_str() || *end != '\0' || errno == ERANGE) {
+    return Error{"option --" + name + ": '" + text + "' is not a whole number"};
+  }
+  if (parsed < min || parsed > max) {
+    return Error{"option --" + name + ": " + text + " is out of range [" +
+                 std::to_string(min) + ", " + std::to_string(max) + "]"};
+  }
+  return static_cast<std::int64_t>(parsed);
+}
+
+}  // namespace
+
 Result<std::int64_t> Args::checked_int(const std::string& name,
                                        std::int64_t fallback, std::int64_t min,
                                        std::int64_t max) const {
   const auto text = value(name);
   if (!text.has_value()) return fallback;
-  errno = 0;
-  char* end = nullptr;
-  const long long parsed = std::strtoll(text->c_str(), &end, 10);
-  if (end == text->c_str() || *end != '\0' || errno == ERANGE) {
-    return Error{"option --" + name + ": '" + *text + "' is not a whole number"};
+  return parse_checked(name, *text, min, max);
+}
+
+Result<std::vector<std::int64_t>> Args::checked_int_list(const std::string& name,
+                                                         std::int64_t min,
+                                                         std::int64_t max) const {
+  std::vector<std::int64_t> out;
+  const auto text = value(name);
+  if (!text.has_value()) return out;
+  std::size_t at = 0;
+  for (;;) {
+    const auto comma = text->find(',', at);
+    const auto parsed = parse_checked(name, text->substr(at, comma - at), min, max);
+    if (!parsed) return parsed.error();
+    out.push_back(*parsed);
+    if (comma == std::string::npos) return out;
+    at = comma + 1;
   }
-  if (parsed < min || parsed > max) {
-    return Error{"option --" + name + ": " + *text + " is out of range [" +
-                 std::to_string(min) + ", " + std::to_string(max) + "]"};
-  }
-  return static_cast<std::int64_t>(parsed);
 }
 
 double Args::double_or(const std::string& name, double fallback) const {

@@ -49,6 +49,14 @@ class Args {
       const std::string& name, std::int64_t fallback,
       std::int64_t min = std::numeric_limits<std::int64_t>::min(),
       std::int64_t max = std::numeric_limits<std::int64_t>::max()) const;
+  /// checked_int for a comma-separated list ("9001,9002"): every token
+  /// must be a whole base-10 number within [min, max] -- an empty token
+  /// ("9001,,9002", a trailing comma) is an Error like any other malformed
+  /// one. Absent option: an empty list.
+  [[nodiscard]] Result<std::vector<std::int64_t>> checked_int_list(
+      const std::string& name,
+      std::int64_t min = std::numeric_limits<std::int64_t>::min(),
+      std::int64_t max = std::numeric_limits<std::int64_t>::max()) const;
   [[nodiscard]] double double_or(const std::string& name, double fallback) const;
   [[nodiscard]] const std::vector<std::string>& positional() const {
     return positional_;

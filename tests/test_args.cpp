@@ -85,5 +85,35 @@ TEST(Args, CheckedIntRejectsOverflow) {
   EXPECT_FALSE(args.checked_int("seed", 1).has_value());
 }
 
+TEST(Args, CheckedIntListParsesEveryToken) {
+  const auto args = parse({"--ports", "9001,0,65535"});
+  const auto ports = args.checked_int_list("ports", 0, 65535);
+  ASSERT_TRUE(ports.has_value()) << ports.error().message;
+  EXPECT_EQ(*ports, (std::vector<std::int64_t>{9001, 0, 65535}));
+  EXPECT_EQ(*parse({"--ports", "7"}).checked_int_list("ports", 0, 65535),
+            std::vector<std::int64_t>{7});
+}
+
+TEST(Args, CheckedIntListAbsentOptionIsEmpty) {
+  const auto ports = parse({}).checked_int_list("ports", 0, 65535);
+  ASSERT_TRUE(ports.has_value());
+  EXPECT_TRUE(ports->empty());
+}
+
+// infilter-monitor --ports: a non-numeric token must not become port 0
+// (ephemeral), and 70000 must not wrap to 4464.
+TEST(Args, CheckedIntListRejectsBadTokens) {
+  for (const char* spec : {"abc", "9001,abc", "70000", "9001,70000", "-1", "",
+                           "9001,", ",9001", "9001,,9002", "90x1"}) {
+    SCOPED_TRACE(spec);
+    const auto ports = parse({"--ports", spec}).checked_int_list("ports", 0, 65535);
+    ASSERT_FALSE(ports.has_value());
+    EXPECT_NE(ports.error().message.find("--ports"), std::string::npos);
+  }
+  const auto wrapped = parse({"--ports", "9001,70000"}).checked_int_list("ports", 0, 65535);
+  ASSERT_FALSE(wrapped.has_value());
+  EXPECT_NE(wrapped.error().message.find("[0, 65535]"), std::string::npos);
+}
+
 }  // namespace
 }  // namespace infilter::util

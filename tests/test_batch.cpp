@@ -230,10 +230,13 @@ TEST(BatchRuntime, OddMaxBatchMatchesSerialVerdicts) {
     }
   }
   runtime.set_clusters(clusters);
+  std::vector<runtime::FlowItem> items;
   for (std::size_t i = 0; i < stream.flows.size(); ++i) {
     const auto& flow = stream.flows[i];
-    runtime.submit(flow.record, flow.arrival_port, flow.record.last, i);
+    items.push_back(
+        runtime::FlowItem{flow.record, flow.arrival_port, flow.record.last, i});
   }
+  ASSERT_EQ(runtime.submit_batch(items), items.size());
   runtime.flush();
   runtime.shutdown();
 

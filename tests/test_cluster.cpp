@@ -6,6 +6,7 @@
 
 #include <set>
 #include <string_view>
+#include <type_traits>
 
 #include "dagflow/dagflow.h"
 #include "traffic/normal.h"
@@ -26,11 +27,19 @@ netflow::V5Record make_record(std::uint8_t proto, std::uint16_t dst_port,
   return r;
 }
 
+// gtest names each case by a byte dump of it, so the padding is spelled
+// out and zeroed: implicit padding would put stray bytes in the name.
 struct ClassifyCase {
+  ClassifyCase(std::uint8_t p, std::uint16_t port, Subcluster e)
+      : proto(p), dst_port(port), expected(e) {}
+
   std::uint8_t proto;
+  std::uint8_t pad0 = 0;
   std::uint16_t dst_port;
   Subcluster expected;
+  std::uint8_t pad1 = 0;
 };
+static_assert(std::has_unique_object_representations_v<ClassifyCase>);
 
 class ClassifyTest : public ::testing::TestWithParam<ClassifyCase> {};
 

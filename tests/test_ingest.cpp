@@ -100,13 +100,12 @@ TEST(IngestPipeline, RejectsMismatchedIngressIds) {
 }
 
 TEST(IngestPipeline, PooledBuffersAreReusedAcrossManyDatagrams) {
-  // 8 buffers, >100 datagrams: every arena slot must make many full
-  // receive -> decode -> recycle cycles for the counts to come out, and
-  // nothing may be lost along the way.
+  // A recv_batch-sized arena (here one slot), >100 datagrams: every arena
+  // slot must make many full receive -> decode -> recycle cycles for the
+  // counts to come out, and nothing may be lost along the way.
   std::atomic<std::uint64_t> dispatched{0};
   IngestConfig config;
   config.ports = {0};
-  config.arena_slots = 8;
   config.recv_batch = 1;  // also exercises the receive_into() fallback path
   auto pipeline = IngestPipeline::create(
       config, [&dispatched](std::span<const runtime::FlowItem> items, int) {
@@ -124,12 +123,12 @@ TEST(IngestPipeline, PooledBuffersAreReusedAcrossManyDatagrams) {
   // counts only come out if recycled buffers really are reusable.
   constexpr std::size_t kRounds = 25;
   const std::size_t total = datagrams.size() * kRounds;
-  ASSERT_GT(total, 20 * config.arena_slots);
+  ASSERT_GT(total, 20 * config.recv_batch);
   for (std::size_t round = 0; round < kRounds; ++round) {
     for (const auto& datagram : datagrams) {
       ASSERT_TRUE(sender->send(port, datagram).has_value());
     }
-    // Keep the kernel queue shallow; overload policy is exercised elsewhere.
+    // Keep the kernel queue shallow; overload is exercised elsewhere.
     wait_received(**pipeline, datagrams.size() * (round + 1));
   }
   (*pipeline)->drain();
@@ -138,7 +137,6 @@ TEST(IngestPipeline, PooledBuffersAreReusedAcrossManyDatagrams) {
   EXPECT_EQ(stats.datagrams_received, total);
   EXPECT_EQ(stats.datagrams_decoded, total);
   EXPECT_EQ(stats.datagrams_malformed, 0u);
-  EXPECT_EQ(stats.dropped_oldest, 0u);
   EXPECT_EQ(stats.records_decoded, flows * kRounds);
   EXPECT_EQ(stats.records_dispatched, flows * kRounds);
   EXPECT_EQ(dispatched.load(), flows * kRounds);
@@ -202,8 +200,7 @@ TEST(IngestPipeline, TruncatedDatagramMidBatchKeepsSlotCorrespondence) {
   std::vector<std::uint16_t> markers;
   IngestConfig config;
   config.ports = {0};
-  config.arena_slots = 8;
-  config.recv_batch = 8;
+  config.recv_batch = 8;  // the arena: 8 slots, all in every full batch
   auto pipeline = IngestPipeline::create(
       config, [&](std::span<const runtime::FlowItem> items, int) {
         std::lock_guard lock(mutex);
@@ -336,8 +333,6 @@ TEST(IngestPipeline, RefusedDispatchIsShedAndAccountedExactly) {
   EXPECT_GT(stats.records_shed, 0u);
   EXPECT_EQ(stats.records_dispatched, accepted.load());
   EXPECT_EQ(stats.records_decoded, offered.load());
-  // The legacy oldest-first shed path is gone; its counter stays at zero.
-  EXPECT_EQ(stats.dropped_oldest, 0u);
 }
 
 TEST(IngestPipeline, DrainMeansDispatched) {
@@ -561,7 +556,6 @@ TEST(IngestStress, MultiSocketMultiReceiverWithConcurrentQuiesce) {
   IngestConfig config;
   config.ports = {0, 0, 0};
   config.receiver_threads = 2;
-  config.arena_slots = 64;
   auto pipeline = IngestPipeline::create(config, runtime);
   ASSERT_TRUE(pipeline.has_value()) << pipeline.error().message;
   EXPECT_EQ((*pipeline)->receiver_count(), 2u);
@@ -582,7 +576,7 @@ TEST(IngestStress, MultiSocketMultiReceiverWithConcurrentQuiesce) {
       (void)(*pipeline)->stats();
       (void)(*pipeline)->snapshot();
     }
-    // Loose pacing so the tiny arenas never force kernel-queue drops.
+    // Loose pacing so the receivers never force kernel-queue drops.
     while ((*pipeline)->stats().datagrams_received + 48 < sent) {
       std::this_thread::sleep_for(100us);
     }

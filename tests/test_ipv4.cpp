@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <tuple>
 
 namespace infilter::net {
@@ -85,6 +86,12 @@ struct ContainsCase {
   const char* address;
   bool contained;
 };
+
+// Names each case by its values: gtest's default byte dump would print the
+// two pointers, which differ from one run to the next.
+void PrintTo(const ContainsCase& c, std::ostream* os) {
+  *os << c.address << (c.contained ? " in " : " not in ") << c.prefix;
+}
 
 class PrefixContains : public ::testing::TestWithParam<ContainsCase> {};
 

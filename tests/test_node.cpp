@@ -1,11 +1,14 @@
 // Tests for the deployable analysis node (app/node.h): the full live
-// pipeline over real loopback sockets.
+// pipeline -- ingest receivers into the sharded runtime -- over real
+// loopback sockets.
 
 #include "app/node.h"
 
 #include <gtest/gtest.h>
 
 #include "dagflow/dagflow.h"
+#include "flowtools/udp.h"
+#include "netflow/v5.h"
 #include "traffic/attacks.h"
 #include "traffic/normal.h"
 
@@ -52,10 +55,21 @@ TEST(InFilterNode, BindsEphemeralPorts) {
 TEST(InFilterNode, PollWithoutTrafficProcessesNothing) {
   auto node = InFilterNode::create(test_config({0}));
   ASSERT_TRUE(node.has_value());
+  EXPECT_EQ((*node)->threads(), 1);
   const auto processed = (*node)->poll_once(10);
   ASSERT_TRUE(processed.has_value());
   EXPECT_EQ(*processed, 0u);
+  (*node)->flush();
   EXPECT_EQ((*node)->stats().flows_processed, 0u);
+}
+
+TEST(InFilterNode, RejectsZeroThreadsAndReceivers) {
+  auto config = test_config({0});
+  config.threads = 0;
+  EXPECT_FALSE(InFilterNode::create(config).has_value());
+  config = test_config({0});
+  config.ingest_threads = 0;
+  EXPECT_FALSE(InFilterNode::create(config).has_value());
 }
 
 TEST(InFilterNode, EndToEndLiveDetection) {
@@ -108,6 +122,7 @@ TEST(InFilterNode, EndToEndLiveDetection) {
   }
   EXPECT_EQ(processed, expected);
 
+  (*node)->flush();
   const auto& stats = (*node)->stats();
   EXPECT_EQ(stats.flows_processed, expected);
   EXPECT_EQ(stats.suspects, worm.flows.size());  // only the worm is spoofed
@@ -151,7 +166,99 @@ TEST(InFilterNode, StatsAccumulateAcrossPolls) {
       processed += *result;
     }
   }
+  (*node)->flush();
   EXPECT_EQ((*node)->stats().flows_processed, 120u);
+}
+
+// The default node (1 receiver x 1 shard) is the serial node: one socket's
+// records reach one engine in receive order, so it must agree exactly
+// with a single InFilterEngine fed the same records in send order --
+// verdict counts and the alert stream after traceback.
+TEST(InFilterNode, DefaultNodeMatchesSerialEngine) {
+  const auto config = test_config({0});
+  alert::CollectingSink ui;
+  auto node = InFilterNode::create(config, &ui);
+  ASSERT_TRUE(node.has_value()) << node.error().message;
+  const auto ports = (*node)->ports();
+  preload_table3(**node, ports);
+  const auto training = training_records(21);
+  (*node)->train(training);
+
+  alert::CollectingSink serial_ui;
+  core::TracebackEngine serial_traceback(config.traceback, &serial_ui);
+  core::InFilterEngine engine(config.engine, &serial_traceback);
+  for (const auto& block : dagflow::eia_range(0).expand()) {
+    engine.add_expected(ports[0], block.prefix());
+  }
+  engine.train(training);
+
+  // Normal traffic from source 0's own blocks and a spoofed Slammer sweep,
+  // exported through the same collector port with their datagrams
+  // interleaved.
+  traffic::NormalTrafficModel model;
+  util::Rng rng{22};
+  dagflow::Dagflow source(
+      dagflow::DagflowConfig{.netflow_port = ports[0]},
+      dagflow::AddressPool::from_allocation(dagflow::make_allocation(10, 100, 0, 0)[0]),
+      23);
+  const auto normal =
+      source.export_datagrams(source.replay(model.generate(200, 0, rng)), 1000);
+  traffic::AttackConfig attack_config;
+  attack_config.companion_fraction = 0;
+  const auto worm = traffic::generate_attack(traffic::AttackKind::kSlammer,
+                                             attack_config, 2000, rng);
+  dagflow::Dagflow attacker(
+      dagflow::DagflowConfig{.netflow_port = ports[0]},
+      dagflow::AddressPool::from_subblocks({*net::SubBlock::parse("70a")}), 24);
+  const auto spoofed = attacker.export_datagrams(attacker.replay(worm), 2000);
+  std::vector<std::vector<std::uint8_t>> datagrams;
+  for (std::size_t i = 0; i < std::max(normal.size(), spoofed.size()); ++i) {
+    if (i < normal.size()) datagrams.push_back(normal[i]);
+    if (i < spoofed.size()) datagrams.push_back(spoofed[i]);
+  }
+
+  auto sender = flowtools::UdpSender::create();
+  ASSERT_TRUE(sender.has_value());
+  std::uint64_t suspects = 0;
+  std::uint64_t attacks = 0;
+  std::size_t flows = 0;
+  for (const auto& bytes : datagrams) {
+    ASSERT_TRUE(sender->send(ports[0], bytes).has_value());
+    const auto datagram = netflow::decode(bytes);
+    ASSERT_TRUE(datagram.has_value());
+    for (const auto& record : datagram->records) {
+      const auto verdict = engine.process(record, ports[0], record.last);
+      suspects += verdict.suspect ? 1 : 0;
+      attacks += verdict.attack ? 1 : 0;
+      ++flows;
+    }
+  }
+  std::size_t processed = 0;
+  for (int i = 0; i < 200 && processed < flows; ++i) {
+    const auto result = (*node)->poll_once(20);
+    ASSERT_TRUE(result.has_value()) << result.error().message;
+    processed += *result;
+  }
+  (*node)->flush();
+
+  const auto& stats = (*node)->stats();
+  EXPECT_EQ(stats.flows_processed, flows);
+  EXPECT_EQ(stats.dropped_flows, 0u);
+  EXPECT_EQ(stats.suspects, suspects);
+  EXPECT_EQ(stats.attacks_flagged, attacks);
+  EXPECT_GT(attacks, 0u);  // the comparison below covers a real alert stream
+  ASSERT_EQ(ui.alerts().size(), serial_ui.alerts().size());
+  for (std::size_t i = 0; i < ui.alerts().size(); ++i) {
+    SCOPED_TRACE("alert " + std::to_string(i));
+    const auto& got = ui.alerts()[i];
+    const auto& want = serial_ui.alerts()[i];
+    EXPECT_EQ(got.id, want.id);
+    EXPECT_EQ(got.stage, want.stage);
+    EXPECT_EQ(got.source_ip.value(), want.source_ip.value());
+    EXPECT_EQ(got.target_ip.value(), want.target_ip.value());
+    EXPECT_EQ(got.ingress_port, want.ingress_port);
+    EXPECT_EQ(got.expected_ingress, want.expected_ingress);
+  }
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <mutex>
 #include <numeric>
 #include <set>
 #include <string>
@@ -439,9 +440,11 @@ TEST(ShardedRuntime, AlertStreamAndScanStatsBitIdenticalToSerial) {
         rt.add_expected(port, net::SubBlock{b}.prefix());
       }
     }
+    std::vector<FlowItem> items;
     for (const auto& flow : stream.flows) {
-      ASSERT_TRUE(rt.submit(flow.record, flow.arrival_port, flow.record.last));
+      items.push_back(FlowItem{flow.record, flow.arrival_port, flow.record.last});
     }
+    ASSERT_EQ(rt.submit_batch(items), items.size());
     rt.flush();
 
     ASSERT_NE(rt.scan_stage_engine(), nullptr);
@@ -482,6 +485,13 @@ TEST(ShardedRuntime, MergedSnapshotAccountsForEveryFlow) {
   EXPECT_GT(result.metrics.value("infilter_runtime_batches_total"), 0.0);
 }
 
+/// One flow through producer 0 as a batch of one: true when accepted.
+bool submit_one(ShardedRuntime& rt, const netflow::V5Record& record,
+                core::IngressId ingress, util::TimeMs now, std::uint64_t tag = 0) {
+  const FlowItem item{record, ingress, now, tag};
+  return rt.submit_batch({&item, 1}) == 1;
+}
+
 netflow::V5Record simple_flow(std::uint32_t salt) {
   netflow::V5Record r;
   r.src_ip = net::IPv4Address{(10u << 24) | (salt << 8)};
@@ -512,7 +522,7 @@ TEST(ShardedRuntime, LiveSnapshotSkipsBusyShardsAndIsCompleteAfterFlush) {
                     });
   constexpr std::uint32_t kFlows = 300;
   for (std::uint32_t i = 0; i < kFlows; ++i) {
-    rt.submit(simple_flow(i), 9001, i);
+    submit_one(rt, simple_flow(i), 9001, i);
     if (i % 50 == 0) {
       const auto live = rt.snapshot();
       EXPECT_GE(live.value("infilter_runtime_submitted_total"),
@@ -538,7 +548,7 @@ TEST(ShardedRuntime, ExternalRegistryOutlivesRuntimeWithoutDanglingPulls) {
     config.engine.mode = core::EngineMode::kBasic;
     config.registry = &registry;
     ShardedRuntime rt(config);
-    EXPECT_TRUE(rt.submit(simple_flow(1), 9001, 1));
+    EXPECT_TRUE(submit_one(rt, simple_flow(1), 9001, 1));
     rt.shutdown();
     // While alive, snapshot() still exposes the private pull gauges.
     EXPECT_DOUBLE_EQ(rt.snapshot().value("infilter_runtime_shards"), 2.0);
@@ -555,24 +565,40 @@ TEST(ShardedRuntime, DropPolicyShedsAndCountsWhenRingsStayFull) {
   config.queue_depth = 2;
   config.backpressure = BackpressurePolicy::kDrop;
   config.engine.mode = core::EngineMode::kBasic;
-  // A slow hook keeps the single worker busy so the tiny ring fills.
+  // A slow hook keeps the single worker busy so the tiny ring fills. It
+  // records which tags reached a verdict: exactly the accepted ones.
+  std::mutex hooked_mutex;
+  std::set<std::uint64_t> hooked;
   ShardedRuntime rt(config, nullptr,
-                    [](const FlowItem&, const core::Verdict&) {
+                    [&](const FlowItem& item, const core::Verdict&) {
                       std::this_thread::sleep_for(std::chrono::milliseconds(2));
+                      std::lock_guard lock(hooked_mutex);
+                      hooked.insert(item.tag);
                     });
   constexpr std::uint64_t kFlows = 64;
-  std::uint64_t accepted = 0;
+  std::set<std::uint64_t> accepted;
   for (std::uint32_t i = 0; i < kFlows; ++i) {
-    accepted += rt.submit(simple_flow(i), 9001, i) ? 1 : 0;
+    if (submit_one(rt, simple_flow(i), 9001, i, /*tag=*/i)) accepted.insert(i);
   }
+  // A multi-flow batch against the full ring: the returned count is the
+  // accepted prefix, the rest is shed and counted.
+  std::vector<FlowItem> burst;
+  for (std::uint32_t i = kFlows; i < 2 * kFlows; ++i) {
+    burst.push_back(FlowItem{simple_flow(i), 9001, i, i});
+  }
+  const std::size_t burst_accepted = rt.submit_batch(burst);
+  EXPECT_LE(burst_accepted, config.queue_depth);
+  for (std::size_t i = 0; i < burst_accepted; ++i) accepted.insert(burst[i].tag);
   rt.flush();
   const auto stats = rt.stats();
-  EXPECT_EQ(stats.submitted, kFlows);
-  EXPECT_EQ(stats.dispatched, accepted);
-  EXPECT_EQ(stats.processed, accepted);
-  EXPECT_EQ(stats.dropped, kFlows - accepted);
+  EXPECT_EQ(stats.submitted, 2 * kFlows);
+  EXPECT_EQ(stats.dispatched, accepted.size());
+  EXPECT_EQ(stats.processed, accepted.size());
+  EXPECT_EQ(stats.dropped, 2 * kFlows - accepted.size());
   EXPECT_GT(stats.dropped, 0u);  // 64 x 2ms against a depth-2 ring must shed
   EXPECT_EQ(stats.backpressure_waits, 0u);
+  std::lock_guard lock(hooked_mutex);
+  EXPECT_EQ(hooked, accepted);
 }
 
 TEST(ShardedRuntime, BlockPolicyLosesNothingThroughTinyRings) {
@@ -584,7 +610,7 @@ TEST(ShardedRuntime, BlockPolicyLosesNothingThroughTinyRings) {
   ShardedRuntime rt(config);
   constexpr std::uint64_t kFlows = 2000;
   for (std::uint32_t i = 0; i < kFlows; ++i) {
-    EXPECT_TRUE(rt.submit(simple_flow(i), 9001, i));
+    EXPECT_TRUE(submit_one(rt, simple_flow(i), 9001, i));
   }
   rt.flush();
   const auto stats = rt.stats();
@@ -615,7 +641,7 @@ TEST(ShardedRuntime, FlushCompletesEveryInFlightSuspect) {
   ASSERT_NE(rt.scan_stage_engine(), nullptr);
   constexpr std::uint64_t kFlows = 3000;
   for (std::uint32_t i = 0; i < kFlows; ++i) {
-    ASSERT_TRUE(rt.submit(simple_flow(i), 9001, i));  // no EIA entries: all miss
+    ASSERT_TRUE(submit_one(rt, simple_flow(i), 9001, i));  // no EIA entries: all miss
   }
   rt.flush();
   const auto stats = rt.stats();
@@ -641,10 +667,10 @@ TEST(ShardedRuntime, ShutdownIsIdempotentAndRejectsLateSubmits) {
   config.shards = 2;
   config.engine.mode = core::EngineMode::kBasic;
   ShardedRuntime rt(config);
-  EXPECT_TRUE(rt.submit(simple_flow(1), 9001, 1));
+  EXPECT_TRUE(submit_one(rt, simple_flow(1), 9001, 1));
   rt.shutdown();
   rt.shutdown();
-  EXPECT_FALSE(rt.submit(simple_flow(2), 9001, 2));
+  EXPECT_FALSE(submit_one(rt, simple_flow(2), 9001, 2));
   const auto stats = rt.stats();
   EXPECT_EQ(stats.processed, 1u);
   EXPECT_EQ(stats.dropped, 1u);
@@ -939,7 +965,7 @@ TEST(ShardedRuntime, AlertsFromAllShardsArriveWithDenseIds) {
   ShardedRuntime rt(config, &ui);
   constexpr std::uint64_t kFlows = 500;
   for (std::uint32_t i = 0; i < kFlows; ++i) {
-    rt.submit(simple_flow(i), 9001, i);
+    submit_one(rt, simple_flow(i), 9001, i);
   }
   rt.shutdown();
   ASSERT_EQ(ui.alerts().size(), kFlows);

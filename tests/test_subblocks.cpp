@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 
 namespace infilter::net {
@@ -29,6 +30,12 @@ struct NotationCase {
   const char* notation;
   const char* prefix;
 };
+
+// Names each case by its values: gtest's default byte dump would print the
+// two pointers, which differ from one run to the next.
+void PrintTo(const NotationCase& c, std::ostream* os) {
+  *os << c.notation << " is " << c.prefix;
+}
 
 class SubBlockNotation : public ::testing::TestWithParam<NotationCase> {};
 

@@ -286,6 +286,13 @@ netflow::V5Record simple_flow(std::uint32_t salt) {
   return r;
 }
 
+/// One flow through producer 0 as a batch of one: true when accepted.
+bool submit_one(runtime::ShardedRuntime& rt, const netflow::V5Record& record,
+                core::IngressId ingress, util::TimeMs now, std::uint64_t tag) {
+  const runtime::FlowItem item{record, ingress, now, tag};
+  return rt.submit_batch({&item, 1}) == 1;
+}
+
 struct ParsedSpan {
   std::string name;
   double ts = 0.0;
@@ -331,7 +338,7 @@ TEST(TraceRuntime, SpanSumsMatchExportedE2eHistogram) {
   {
     runtime::ShardedRuntime rt(config);
     for (std::uint32_t i = 0; i < kFlows; ++i) {
-      ASSERT_TRUE(rt.submit(simple_flow(i), 9001, i, /*tag=*/i + 1));
+      ASSERT_TRUE(submit_one(rt, simple_flow(i), 9001, i, /*tag=*/i + 1));
     }
     rt.flush();
 
@@ -394,7 +401,7 @@ TEST(TraceRuntime, SamplingKeysOnTagNotInternalSequence) {
   // offset): multiples of 8 among the tags are 0, 8, ..., 96.
   constexpr std::uint64_t kFlows = 100;
   for (std::uint32_t i = 0; i < kFlows; ++i) {
-    ASSERT_TRUE(rt.submit(simple_flow(i), 9001, i, /*tag=*/i));
+    ASSERT_TRUE(submit_one(rt, simple_flow(i), 9001, i, /*tag=*/i));
   }
   rt.flush();
 
@@ -430,7 +437,7 @@ TEST(TraceRuntime, ScanStageJourneysTileAcrossAllFourSpans) {
   ASSERT_NE(rt.scan_stage_engine(), nullptr);
   constexpr std::uint64_t kFlows = 200;
   for (std::uint32_t i = 0; i < kFlows; ++i) {
-    ASSERT_TRUE(rt.submit(simple_flow(i), 9001, i, /*tag=*/i + 1));
+    ASSERT_TRUE(submit_one(rt, simple_flow(i), 9001, i, /*tag=*/i + 1));
   }
   rt.flush();
 
@@ -484,7 +491,7 @@ TEST(TraceRuntime, SnapshotsAndScansConcurrentWithTraceWriters) {
   constexpr std::uint32_t kFlows = 400;
   std::uint64_t json_bytes = 0;
   for (std::uint32_t i = 0; i < kFlows; ++i) {
-    rt.submit(simple_flow(i), 9001, i, i + 1);
+    submit_one(rt, simple_flow(i), 9001, i, i + 1);
     if (i % 40 == 0) {
       const auto merged =
           obs::merge_snapshots({rt.snapshot(), tracer.snapshot()});
@@ -514,7 +521,7 @@ TEST(TraceRuntime, DisabledTracerEmitsNoSpansButKeepsLiveness) {
   config.tracer = &tracer;
   runtime::ShardedRuntime rt(config);
   for (std::uint32_t i = 0; i < 300; ++i) {
-    ASSERT_TRUE(rt.submit(simple_flow(i), 9001, i, i + 1));
+    ASSERT_TRUE(submit_one(rt, simple_flow(i), 9001, i, i + 1));
   }
   rt.flush();
   EXPECT_EQ(tracer.events_emitted(), 0u);

@@ -392,15 +392,26 @@ int main(int argc, char** argv) {
     suspects = rt_suspects.load(std::memory_order_relaxed);
     attacks = rt_attacks.load(std::memory_order_relaxed);
   } else if (rt) {
-    std::uint64_t tag = 0;  // journey id in the trace export
-    const std::size_t resize_at =
-        resize_shards > 0 ? flows->size() / 2 : flows->size() + 1;
+    // Tags 1..n are the journey ids in the trace export. Batches never
+    // straddle flow n/2, where --resize-shards resizes the pool.
+    std::vector<runtime::FlowItem> items;
+    items.reserve(flows->size());
     for (const auto& flow : *flows) {
-      if (tag == resize_at && rt->resize(resize_shards)) {
+      items.push_back(runtime::FlowItem{flow.record, flow.arrival_port,
+                                        flow.record.last, items.size() + 1});
+    }
+    constexpr std::size_t kSubmitBatch = 256;
+    const std::size_t resize_at =
+        resize_shards > 0 ? items.size() / 2 : items.size() + 1;
+    for (std::size_t at = 0; at < items.size();) {
+      if (at == resize_at && rt->resize(resize_shards)) {
         std::printf("resized runtime to %d shard(s) mid-replay\n",
                     resize_shards);
       }
-      rt->submit(flow.record, flow.arrival_port, flow.record.last, ++tag);
+      const std::size_t stop = at < resize_at ? resize_at : items.size();
+      const std::size_t n = std::min({kSubmitBatch, items.size() - at, stop - at});
+      rt->submit_batch(std::span(items).subspan(at, n));
+      at += n;
     }
     // Drain and join: every counter and the merged snapshot become final.
     rt->shutdown();

@@ -19,22 +19,18 @@
 //                                          # and cbloom backends only
 //                    [--resize-shards N]   # live-resize the worker pool to N
 //                                          # shards halfway through the run,
-//                                          # migrating engine state (needs
-//                                          # --threads >= 1)
+//                                          # migrating engine state
 //                    [--duration-ms 30000] [--idmef]
 //                    [--ttl-detect]        # fuse the TTL hop-count detector
 //                                          # with the EIA check (src/hopcount)
 //                    [--ttl-tolerance 2]   # hop-count window slack
-//                    [--threads N]         # 0 (default) = inline analysis;
-//                                          # N >= 1 = sharded runtime
+//                    [--threads 1]         # worker shards (>= 1)
 //                    [--queue-depth 4096]
-//                    [--ingest-threads N]  # 0 (default) = poll-loop receive;
-//                                          # N >= 1 = threaded ingest: N
-//                                          # recvmmsg receivers, each decoding
-//                                          # and dispatching directly into the
-//                                          # runtime (implies --threads >= 1)
-//                    [--overload block|drop-oldest]  # compat; receiver-direct
-//                                          # ingest has no internal queue
+//                    [--ingest-threads 1]  # recvmmsg receivers (>= 1), each
+//                                          # decoding and dispatching
+//                                          # directly into the runtime; the
+//                                          # defaults (1 x 1) are the serial
+//                                          # node
 //                    [--cpu-set LIST]      # pin pipeline threads: "0-3,8"
 //                                          # style; receivers first, then
 //                                          # workers, then the scan thread.
@@ -114,18 +110,10 @@ int main(int argc, char** argv) {
   const auto& args = *parsed;
 
   app::NodeConfig config;
-  if (const auto ports_spec = args.value("ports")) {
-    config.ports.clear();
-    std::size_t at = 0;
-    while (at <= ports_spec->size()) {
-      const auto comma = ports_spec->find(',', at);
-      const auto token = ports_spec->substr(
-          at, comma == std::string::npos ? std::string::npos : comma - at);
-      config.ports.push_back(
-          static_cast<std::uint16_t>(std::strtoul(token.c_str(), nullptr, 10)));
-      if (comma == std::string::npos) break;
-      at = comma + 1;
-    }
+  if (args.has("ports")) {
+    const auto ports = args.checked_int_list("ports", 0, 65535);
+    if (!ports) return fail(ports.error().message);
+    config.ports.assign(ports->begin(), ports->end());
   }
   const auto mode = args.value_or("mode", "enhanced");
   if (mode == "basic") config.engine.mode = core::EngineMode::kBasic;
@@ -149,7 +137,7 @@ int main(int argc, char** argv) {
   config.engine.hopcount.tolerance = static_cast<int>(*ttl_tolerance);
   // Validated numerics: a typo'd or out-of-range value must fail with a
   // message, not wrap into NodeConfig and misbehave there.
-  const auto threads = args.checked_int("threads", 0, 0, 4096);
+  const auto threads = args.checked_int("threads", 1, 1, 4096);
   if (!threads) return fail(threads.error().message);
   config.threads = static_cast<int>(*threads);
   const auto queue_depth = args.checked_int("queue-depth", 4096, 1, 1 << 24);
@@ -158,18 +146,9 @@ int main(int argc, char** argv) {
   const auto resize_arg = args.checked_int("resize-shards", 0, 0, 4096);
   if (!resize_arg) return fail(resize_arg.error().message);
   const int resize_shards = static_cast<int>(*resize_arg);
-  if (resize_shards > 0 && config.threads == 0) {
-    return fail("--resize-shards requires the sharded runtime (--threads >= 1)");
-  }
-  const auto ingest_threads = args.checked_int("ingest-threads", 0, 0, 4096);
+  const auto ingest_threads = args.checked_int("ingest-threads", 1, 1, 4096);
   if (!ingest_threads) return fail(ingest_threads.error().message);
   config.ingest_threads = static_cast<int>(*ingest_threads);
-  const auto overload = args.value_or("overload", "block");
-  if (overload == "drop-oldest") {
-    config.overload = ingest::OverloadPolicy::kDropOldest;
-  } else if (overload != "block") {
-    return fail("--overload must be block or drop-oldest");
-  }
   if (const auto cpu_set = args.value("cpu-set")) {
     std::string error;
     const auto cpus = runtime::parse_cpu_set(*cpu_set, &error);
@@ -254,17 +233,10 @@ int main(int argc, char** argv) {
     (*node)->train(records);
     std::printf("trained on %zu flows; ", records.size());
   }
-  if (config.ingest_threads > 0) {
-    std::printf(
-        "monitoring %zu collector port(s): %d receiver thread(s) dispatching "
-        "directly -> %d worker shard(s)\n",
-        (*node)->ports().size(), config.ingest_threads, (*node)->threads());
-  } else if (config.threads > 0) {
-    std::printf("monitoring %zu collector port(s) with %d worker shard(s)\n",
-                (*node)->ports().size(), (*node)->threads());
-  } else {
-    std::printf("monitoring %zu collector port(s)\n", (*node)->ports().size());
-  }
+  std::printf(
+      "monitoring %zu collector port(s): %d receiver thread(s) dispatching "
+      "directly -> %d worker shard(s)\n",
+      (*node)->ports().size(), config.ingest_threads, (*node)->threads());
 
   const auto duration_arg = args.checked_int("duration-ms", 30000, 1, 1 << 30);
   if (!duration_arg) return fail(duration_arg.error().message);
@@ -297,9 +269,9 @@ int main(int argc, char** argv) {
     }
     const auto& stats = (*node)->stats();
     if (stats.flows_processed != last_processed && elapsed % 1000 < kSliceMs) {
-      // Runtime-backed: drain in-flight flows first, so the snapshot can
-      // safely merge every shard engine's registry and the printed
-      // flows/suspects/attacks agree with each other (serial: no-op).
+      // Drain in-flight flows first, so the snapshot can safely merge
+      // every shard engine's registry and the printed
+      // flows/suspects/attacks agree with each other.
       (*node)->flush();
       const auto snapshot = (*node)->metrics();
       std::printf("status: %llu flows, %llu suspects, %llu attacks",
@@ -335,7 +307,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Runtime-backed: drain in-flight flows so the final numbers are exact.
+  // Drain in-flight flows so the final numbers are exact.
   (*node)->flush();
   const auto& stats = (*node)->stats();
   std::printf("\nfinal: %llu flows processed, %llu suspects, %llu attacks, "
