@@ -396,12 +396,13 @@ int main(int argc, char** argv) {
   // Gate: tracing compiled in and attached but *disabled* must cost at most
   // 2% throughput against the untraced pipeline (the disabled hot path is
   // one relaxed load + branch per hop). Wall-clock over loopback UDP is far
-  // noisier than 2%, so each side replays the stream enough times to spend
-  // tens of milliseconds in the measured window, the pair is measured up to
-  // three times alternating, and the best throughput either side reached is
-  // judged (noise only ever subtracts from a best-of).
+  // noisier than 2%, so each side replays the stream enough times to fill
+  // 0.6 s at the single-replay rate (~0.15 s at the steady rate), the pair
+  // is measured up to four times alternating, and the best throughput
+  // either side reached is judged (noise only ever subtracts from a
+  // best-of).
   const int repeats = std::max(
-      1, static_cast<int>(0.15 * threaded.records_per_sec /
+      1, static_cast<int>(0.6 * threaded.records_per_sec /
                           static_cast<double>(std::max<std::size_t>(1, workload.flows))));
   double best_untraced = 0.0;
   double best_disabled = 0.0;

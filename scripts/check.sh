@@ -8,7 +8,9 @@
 #   scripts/check.sh --producers # + TSan multi-producer sweep only (the
 #                                #   shard-ring merge, shards x producers
 #                                #   equivalence, flush/snapshot-under-load,
-#                                #   and multi-receiver ingest tests)
+#                                #   the early-stop and oversized-claim
+#                                #   liveness cases, and multi-receiver
+#                                #   ingest tests)
 #   scripts/check.sh --soak      # + TSan lifecycle lane: resize vs live
 #                                #   producers, aging properties, and the
 #                                #   short churn-soak harness tests
@@ -70,7 +72,7 @@ if [[ "$run_producers" == 1 ]]; then
   cmake --preset tsan
   cmake --build --preset tsan -j "$jobs"
   ./build-tsan/tests/infilter_tests \
-    --gtest_filter='ShardedRuntime.MergeKeepsSeqStrictlyMonotonePerShard:ShardedRuntime.MultiProducerSweepReplaysIdenticalAlertStream:ShardedRuntime.SnapshotAndFlushAreSafeWhileProducersSubmit:IngestPipeline.TagsArePartitionedAndMonotonePerReceiver:IngestStress.MultiSocketMultiReceiverWithConcurrentQuiesce'
+    --gtest_filter='ShardedRuntime.MergeKeepsSeqStrictlyMonotonePerShard:ShardedRuntime.MultiProducerSweepReplaysIdenticalAlertStream:ShardedRuntime.SnapshotAndFlushAreSafeWhileProducersSubmit:ShardedRuntime.ProducerStopsEarlyWithoutBeacon:ShardedRuntime.ClaimsLargerThanRingsDoNotDeadlock:IngestPipeline.TagsArePartitionedAndMonotonePerReceiver:IngestStress.MultiSocketMultiReceiverWithConcurrentQuiesce'
 fi
 
 if [[ "$run_soak" == 1 ]]; then

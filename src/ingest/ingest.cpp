@@ -25,10 +25,9 @@ namespace {
 
 /// How long drain()/quiesce() waiters sleep between progress checks.
 constexpr auto kReceiverWait = std::chrono::microseconds(200);
-/// Receiver poll timeout. Doubles as the idle-beacon cadence: a receiver
-/// with no traffic publishes producer_idle() at most this late, which
-/// bounds how long its silent producer slot can hold back the other
-/// receivers' flows in the runtime's tag-order merge.
+/// Receiver poll timeout: how late an idle receiver notices stop() or a
+/// quiesce() request. (The runtime's merge never waits on an idle
+/// receiver, so this does not bound verdict latency.)
 constexpr int kPollTimeoutMs = 1;
 
 util::Error errno_error(const char* what) {
@@ -37,11 +36,8 @@ util::Error errno_error(const char* what) {
 
 }  // namespace
 
-IngestPipeline::IngestPipeline(IngestConfig config, DispatchFn dispatch,
-                               IdleFn idle)
-    : config_(std::move(config)),
-      dispatch_(std::move(dispatch)),
-      idle_(std::move(idle)) {
+IngestPipeline::IngestPipeline(IngestConfig config, DispatchFn dispatch)
+    : config_(std::move(config)), dispatch_(std::move(dispatch)) {
   // Normalize the knobs so the threads never have to re-check them.
   if (config_.receiver_threads < 1) config_.receiver_threads = 1;
   if (config_.slot_bytes < netflow::kV5HeaderBytes) {
@@ -92,14 +88,14 @@ IngestPipeline::IngestPipeline(IngestConfig config, DispatchFn dispatch,
 }
 
 util::Result<std::unique_ptr<IngestPipeline>> IngestPipeline::create(
-    IngestConfig config, DispatchFn dispatch, IdleFn idle) {
+    IngestConfig config, DispatchFn dispatch) {
   if (config.ports.empty()) return util::Error{"ingest: no collector ports"};
   if (!config.ingress_ids.empty() &&
       config.ingress_ids.size() != config.ports.size()) {
     return util::Error{"ingest: ingress_ids must be empty or parallel to ports"};
   }
-  auto pipeline = std::unique_ptr<IngestPipeline>(new IngestPipeline(
-      std::move(config), std::move(dispatch), std::move(idle)));
+  auto pipeline = std::unique_ptr<IngestPipeline>(
+      new IngestPipeline(std::move(config), std::move(dispatch)));
   auto& cfg = pipeline->config_;
 
   pipeline->sockets_.reserve(cfg.ports.size());
@@ -151,12 +147,10 @@ util::Result<std::unique_ptr<IngestPipeline>> IngestPipeline::create(
         "ingest: runtime has fewer producer slots than receiver threads "
         "(set RuntimeConfig::producers >= receiver_threads)"};
   }
-  return create(
-      std::move(config),
-      [&runtime](std::span<const runtime::FlowItem> items, int producer) {
-        return runtime.submit_batch(items, producer);
-      },
-      [&runtime](int producer) { runtime.producer_idle(producer); });
+  return create(std::move(config),
+                [&runtime](std::span<const runtime::FlowItem> items, int producer) {
+                  return runtime.submit_batch(items, producer);
+                });
 }
 
 IngestPipeline::~IngestPipeline() { stop(); }
@@ -474,10 +468,6 @@ void IngestPipeline::receiver_main(Producer& producer, std::size_t index) {
         }
       }
     }
-    // Idle beacon: nothing of ours is in flight here, so tell the
-    // downstream merge this producer has published everything. Cheap
-    // enough to run every cycle; essential on the quiet cycles.
-    if (idle_) idle_(static_cast<int>(index));
   }
   if (lane != nullptr) lane->retire();
 }

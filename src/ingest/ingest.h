@@ -23,10 +23,11 @@
 //     hop between the socket and the shard rings. Slots recycle within
 //     the batch (records are copied out at decode), so the arena is
 //     exactly recv_batch slots and never runs dry.
-//   * Between receive batches the receiver publishes an idle beacon
-//     (ShardedRuntime::producer_idle) so its producer slot never holds
-//     back the other receivers' flows in the runtime's tag-order merge;
-//     the poll timeout bounds the beacon's staleness.
+//   * A receiver with nothing to dispatch does nothing for the runtime:
+//     its tag-order merge bounds an idle producer slot at the claim
+//     counter itself (runtime.h), so a quiet socket never holds back the
+//     other receivers' flows. The poll timeout only bounds how fast a
+//     receiver notices stop() and quiesce().
 //
 // Overload: the pipeline itself does not queue, so overload lives at its
 // two edges. Upstream, a receiver that cannot keep up (or one blocked by a
@@ -148,15 +149,9 @@ class IngestPipeline {
   /// are called concurrently.
   using DispatchFn = std::function<std::size_t(
       std::span<const runtime::FlowItem> items, int producer)>;
-  /// Idle beacon: called by receiver `producer`'s thread between receive
-  /// batches, with no dispatch in flight on that producer
-  /// (ShardedRuntime::producer_idle's contract). May be empty.
-  using IdleFn = std::function<void(int producer)>;
-
   /// Binds the sockets and spawns the receiver threads.
   static util::Result<std::unique_ptr<IngestPipeline>> create(IngestConfig config,
-                                                              DispatchFn dispatch,
-                                                              IdleFn idle = nullptr);
+                                                              DispatchFn dispatch);
   /// Convenience: dispatch straight into a runtime (not owned; must
   /// outlive the pipeline). The runtime must have at least as many
   /// producer slots as the pipeline has receiver threads.
@@ -248,7 +243,7 @@ class IngestPipeline {
         : arena(std::make_unique<std::uint8_t[]>(slots * slot_bytes)) {}
   };
 
-  IngestPipeline(IngestConfig config, DispatchFn dispatch, IdleFn idle);
+  IngestPipeline(IngestConfig config, DispatchFn dispatch);
 
   void receiver_main(Producer& producer, std::size_t index);
   /// Receives up to recv_batch datagrams from `socket` into free arena
@@ -261,7 +256,6 @@ class IngestPipeline {
 
   IngestConfig config_;
   DispatchFn dispatch_;
-  IdleFn idle_;
   std::vector<Socket> sockets_;
   std::vector<std::unique_ptr<Producer>> producers_;
   std::atomic<bool> stopping_{false};

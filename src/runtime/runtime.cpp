@@ -16,8 +16,9 @@ namespace {
 /// Spins before a worker parks: long enough to ride out a producer
 /// refilling the rings, short enough that an idle runtime burns no core.
 constexpr int kIdleSpins = 64;
-/// Producer-side nap while a full ring drains under kBlock.
-constexpr auto kBackpressureNap = std::chrono::microseconds(50);
+/// Nap between progress checks while a worker's suspect ring drains into
+/// the scan stage, and while flush() waits for quiescence.
+constexpr auto kDrainNap = std::chrono::microseconds(50);
 
 core::EngineConfig shard_engine_config(const RuntimeConfig& config) {
   core::EngineConfig engine = config.engine;
@@ -143,18 +144,20 @@ ShardedRuntime::ShardedRuntime(RuntimeConfig config, alert::AlertSink* sink,
   owned_registry_->gauge_fn(
       "infilter_runtime_producer_lag",
       [this] {
-        // How far the slowest producer's published watermark trails the
-        // claim counter. Persistent lag from a live producer delays the
-        // scan stage's reorder window; an idle producer closes it via
-        // producer_idle().
+        // How far the slowest in-flight producer's published watermark
+        // trails the claim counter. Only an in-flight producer can hold
+        // back the merge (idle ones are bounded at the counter itself), so
+        // idle slots do not count; 0 when no submit is in flight.
         const std::uint64_t next = next_seq_.load(std::memory_order_relaxed);
         std::uint64_t lo = next;
         for (const auto& slot : producers_) {
+          if (!slot->in_flight.load(std::memory_order_relaxed)) continue;
           lo = std::min(lo, slot->published.load(std::memory_order_relaxed));
         }
         return static_cast<double>(next - lo);
       },
-      "Claim counter minus the slowest producer's published watermark");
+      "Claim counter minus the slowest in-flight producer's published "
+      "watermark (0 when no submit is in flight)");
   owned_registry_->counter_fn(
       "infilter_runtime_producer_flows_total",
       [this] {
@@ -299,19 +302,26 @@ void ShardedRuntime::note_occupancy(Shard& shard) {
 
 std::size_t ShardedRuntime::push_batch_with_backpressure(
     Shard& shard, SpscRing<FlowItem>& ring, std::span<const FlowItem> items) {
-  std::size_t accepted = 0;
+  std::size_t accepted = ring.try_push_batch(items);
+  if (accepted > 0) wake(shard);
   while (accepted < items.size()) {
-    const std::size_t pushed = ring.try_push_batch(items.subspan(accepted));
-    accepted += pushed;
-    if (pushed > 0) wake(shard);
-    if (accepted == items.size()) break;
     if (config_.backpressure == BackpressurePolicy::kDrop) {
       dropped_->inc(items.size() - accepted);
       break;
     }
     backpressure_waits_->inc();
     wake(shard);
-    std::this_thread::sleep_for(kBackpressureNap);
+    // Announce the wait, then read the progress word, then retry: either
+    // the retry sees the space a pop freed, or the worker's seq_cst bump
+    // of `processed` comes after our announcement, sees push_waiters != 0
+    // and notifies (the Dekker pairing of the two seq_cst pairs).
+    shard.push_waiters.fetch_add(1, std::memory_order_seq_cst);
+    const std::uint64_t seen = shard.processed.load(std::memory_order_seq_cst);
+    const std::size_t pushed = ring.try_push_batch(items.subspan(accepted));
+    if (pushed == 0) shard.processed.wait(seen, std::memory_order_acquire);
+    shard.push_waiters.fetch_sub(1, std::memory_order_relaxed);
+    accepted += pushed;
+    if (pushed > 0) wake(shard);
   }
   return accepted;
 }
@@ -342,8 +352,13 @@ std::size_t ShardedRuntime::submit_batch(std::span<const FlowItem> items,
   std::uint64_t t_sub = 0;
   if (slot.lane != nullptr) slot.lane->heartbeat(items.size());
   if (tracing) t_sub = obs::Tracer::now_ns();
-  std::uint64_t seq =
-      next_seq_.fetch_add(items.size(), std::memory_order_relaxed);
+  // Raise the flag before claiming (the merge reads the counter, then this
+  // flag: runtime.h), and publish the claim base right after: every tag
+  // this slot pushes from here on lies above it, so the in-flight claim
+  // with the lowest base is never bounded below its own tags.
+  slot.in_flight.store(true, std::memory_order_seq_cst);
+  std::uint64_t seq = next_seq_.fetch_add(items.size(), std::memory_order_seq_cst);
+  slot.published.store(seq, std::memory_order_release);
   const std::uint64_t last = seq + items.size();
   for (const FlowItem& item : items) {
     auto& bucket = buckets[shard_of(item.record.src_ip, shards_.size())];
@@ -384,20 +399,28 @@ std::size_t ShardedRuntime::submit_batch(std::span<const FlowItem> items,
   // this value and then finds this producer's ring empty has merged
   // everything <= it. Shed claims (kDrop) are published past, like gaps.
   slot.published.store(last, std::memory_order_release);
+  // Release: a merge that reads the flag down also sees every push above.
+  slot.in_flight.store(false, std::memory_order_release);
   slot.accepted.fetch_add(accepted, std::memory_order_relaxed);
   return accepted;
 }
 
-void ShardedRuntime::producer_idle(int producer) {
-  std::shared_lock gate(submit_gate_);
-  ProducerSlot& slot = *producers_[static_cast<std::size_t>(producer)];
-  // Safe because the owning thread (the caller) has no submission in
-  // flight on this slot: any future claim returns at least the counter
-  // value loaded here, so nothing <= it can still be contributed.
-  const std::uint64_t target = next_seq_.load(std::memory_order_relaxed);
-  if (slot.published.load(std::memory_order_relaxed) < target) {
-    slot.published.store(target, std::memory_order_release);
+const FlowItem* ShardedRuntime::peek_bounded(Shard& shard, std::size_t p,
+                                             std::uint64_t& bound) {
+  // Counter first, then the flag: a claim this load misses lands after
+  // it (its flag store precedes its fetch_add), so either the flag reads
+  // up and `published` bounds the producer, or the claim is not counted.
+  // The flag reading down, acquired from the clear, makes every counted
+  // claim's pushes visible to the re-peek below.
+  const std::uint64_t claimed = next_seq_.load(std::memory_order_seq_cst);
+  const ProducerSlot& slot = *producers_[p];
+  const bool in_flight = slot.in_flight.load(std::memory_order_seq_cst);
+  const std::uint64_t published = slot.published.load(std::memory_order_acquire);
+  const FlowItem* front = shard.rings[p]->front();
+  if (front == nullptr) {
+    bound = std::min(bound, in_flight ? published : std::max(published, claimed));
   }
+  return front;
 }
 
 ShardedRuntime::MergeResult ShardedRuntime::merge_batch(Shard& shard,
@@ -426,19 +449,16 @@ ShardedRuntime::MergeResult ShardedRuntime::merge_batch(Shard& shard,
   }
 
   // K-way merge in tag order. `bound` is the largest tag this pass may
-  // cross: for every producer whose ring is empty, its published
-  // watermark (acquired *before* the emptiness check) caps the merge --
-  // past it, that still-silent producer could yet contribute an earlier
-  // tag. Rings are tag-ascending (ranges are claimed monotonically and
-  // buckets push in order), so heads are per-ring minima.
+  // cross: every producer whose ring is empty caps the merge at the bound
+  // peek_bounded() derives for it -- past it, that producer could yet
+  // contribute an earlier tag. Rings are tag-ascending (ranges are claimed
+  // monotonically and buckets push in order), so heads are per-ring
+  // minima.
   thread_local std::vector<const FlowItem*> fronts;
   fronts.assign(producers, nullptr);
   std::uint64_t bound = UINT64_MAX;
   for (std::size_t p = 0; p < producers; ++p) {
-    const std::uint64_t published =
-        producers_[p]->published.load(std::memory_order_acquire);
-    fronts[p] = shard.rings[p]->front();
-    if (fronts[p] == nullptr) bound = std::min(bound, published);
+    fronts[p] = peek_bounded(shard, p, bound);
   }
   std::size_t n = 0;
   std::uint64_t last_seq = 0;
@@ -475,19 +495,14 @@ ShardedRuntime::MergeResult ShardedRuntime::merge_batch(Shard& shard,
       }
       front = ring.front();
       if (front == nullptr) {
-        // Drained mid-run: fold this producer's published watermark into
-        // the bound (acquire first, then the confirming re-peek). Popped
-        // tags can outrun a publish still in flight; the caller's
-        // max(last_seq, ...) keeps the watermark honest -- once a tag is
-        // popped, its producer can never contribute a smaller one here
-        // (bucket pushes are ascending prefixes).
-        const std::uint64_t published =
-            producers_[best]->published.load(std::memory_order_acquire);
-        front = ring.front();
-        if (front == nullptr) {
-          bound = std::min(bound, published);
-          break;
-        }
+        // Drained mid-run: fold this producer's bound in (its loads, then
+        // the confirming re-peek). Popped tags can outrun a publish still
+        // in flight; the caller's max(last_seq, ...) keeps the watermark
+        // honest -- once a tag is popped, its producer can never
+        // contribute a smaller one here (bucket pushes are ascending
+        // prefixes).
+        front = peek_bounded(shard, best, bound);
+        if (front == nullptr) break;
       }
       if (front->seq > limit) break;
     }
@@ -536,12 +551,21 @@ void ShardedRuntime::worker_main(Shard& shard) {
       shard.watermark.store(to, std::memory_order_release);
     }
   };
+  // Publishes a finished batch. seq_cst pairs with a blocked producer's
+  // announce-then-read (push_batch_with_backpressure); with no producer
+  // waiting, the notify costs one load.
+  const auto complete = [&shard](std::size_t n) {
+    shard.processed.fetch_add(n, std::memory_order_seq_cst);
+    if (shard.push_waiters.load(std::memory_order_seq_cst) != 0) {
+      shard.processed.notify_all();
+    }
+  };
   for (;;) {
     const MergeResult merged = merge_batch(shard, batch.data(), batch.size());
     const std::size_t n = merged.count;
     if (n == 0) {
-      // Nothing mergeable, but the frontier may still move (idle
-      // producers publishing forward): keep the scan stage's reorder
+      // Nothing mergeable, but the frontier may still move (the claim
+      // counter bounds idle producers): keep the scan stage's reorder
       // window fed.
       if (scan_stage) advance_watermark(merged.watermark);
       if (stopping_.load(std::memory_order_acquire) && shard.queued() == 0) break;
@@ -614,7 +638,7 @@ void ShardedRuntime::worker_main(Shard& shard) {
       if (hook_) {
         for (std::size_t i = 0; i < n; ++i) hook_(batch[i], verdicts[i]);
       }
-      shard.processed.fetch_add(n, std::memory_order_release);
+      complete(n);
       continue;
     }
 
@@ -651,7 +675,7 @@ void ShardedRuntime::worker_main(Shard& shard) {
       // into its (unbounded) reorder heap on every pass.
       while (!shard.suspect_ring->try_push(item)) {
         wake_scan();
-        std::this_thread::sleep_for(kBackpressureNap);
+        std::this_thread::sleep_for(kDrainNap);
       }
     }
     if (!suspects.empty()) {
@@ -670,7 +694,7 @@ void ShardedRuntime::worker_main(Shard& shard) {
         if (!verdicts[i].suspect) hook_(batch[i], verdicts[i]);
       }
     }
-    shard.processed.fetch_add(n, std::memory_order_release);
+    complete(n);
   }
   if (lane != nullptr) lane->retire();
 }
@@ -802,17 +826,9 @@ void ShardedRuntime::scan_main() {
 }
 
 void ShardedRuntime::flush_locked() {
-  // Holding the gate exclusively means no claim is in flight, so every
-  // producer's published watermark may advance to the claim counter --
-  // without this, an idle producer that never called producer_idle()
-  // would hold every merge (and the scan reorder window) at its last
-  // publish forever.
-  const std::uint64_t target = next_seq_.load(std::memory_order_relaxed);
-  for (auto& slot : producers_) {
-    if (slot->published.load(std::memory_order_relaxed) < target) {
-      slot->published.store(target, std::memory_order_release);
-    }
-  }
+  // Holding the gate exclusively means no claim is in flight, so the
+  // merge bounds every producer at the claim counter and the workers
+  // drain everything on their own.
   // Phase 1: every shard drains its flow rings (EIA stage complete). After
   // this, suspects_forwarded_ is final -- each worker bumps it before the
   // `processed` release store we acquire here.
@@ -820,7 +836,7 @@ void ShardedRuntime::flush_locked() {
     while (shard->processed.load(std::memory_order_acquire) <
            shard->enqueued.load(std::memory_order_relaxed)) {
       wake(*shard);
-      std::this_thread::sleep_for(kBackpressureNap);
+      std::this_thread::sleep_for(kDrainNap);
     }
   }
   if (scan_engine_ == nullptr) return;
@@ -831,7 +847,7 @@ void ShardedRuntime::flush_locked() {
   while (suspects_completed_.load(std::memory_order_acquire) <
          suspects_forwarded_.load(std::memory_order_acquire)) {
     wake_scan();
-    std::this_thread::sleep_for(kBackpressureNap);
+    std::this_thread::sleep_for(kDrainNap);
   }
 }
 

@@ -16,18 +16,28 @@
 //     range with a single fetch_add per submit call, so tags are globally
 //     unique, strictly monotone per producer, and together form one total
 //     order over all flows -- "dispatch order" is the order of the claims.
-//   * Each producer release-publishes a watermark (`published`) once every
-//     flow of a claimed range is visible in its rings. Any flow a producer
-//     has not yet pushed carries a tag above its published watermark
-//     (ranges are claimed after the previous publish), which is the
-//     invariant every merge below leans on.
+//   * Each producer release-publishes a watermark (`published`): the
+//     claim base right after each claim, and the range's last tag once
+//     every flow of it is visible in its rings. Any flow a producer has
+//     not yet pushed carries a tag above its published watermark, which
+//     is the invariant every merge below leans on.
+//   * Each producer also raises an `in_flight` flag (seq_cst) before its
+//     claim and clears it after the final publish. For an idle producer
+//     -- flag down, ring empty -- the merge takes the claim counter itself
+//     as that producer's bound: the counter is loaded *before* the flag,
+//     so any claim the load missed happens after it (the Dekker pairing of
+//     the two seq_cst accesses), and every claim it counted was fully
+//     pushed before the flag came down. No producer has to announce that
+//     it is idle.
 //   * A worker k-way merges its P rings in tag order. It may process up
 //     to `bound` = min over producers of (ring non-empty ? unbounded :
-//     that producer's published watermark, acquired *before* the
-//     emptiness check) -- past `bound` a still-silent producer could yet
-//     contribute an earlier flow. Within a ring tags ascend, so the merge
-//     emits the shard's flows in exactly the order a single dispatcher
-//     would have.
+//     in flight ? published : max(published, claim counter)), each read
+//     *before* the emptiness check -- past `bound` a producer mid-claim
+//     could yet contribute an earlier flow. Within a ring tags ascend, so
+//     the merge emits the shard's flows in exactly the order a single
+//     dispatcher would have. The in-flight claim with the lowest base is
+//     never held back (every other producer's bound lies at or above its
+//     last tag), so claims larger than the rings cannot deadlock.
 //
 // Semantics relative to one serial engine processing the flows in tag
 // order (with one producer, that is submission order; with several, the
@@ -51,20 +61,21 @@
 //     serial engine at every shard count and every producer count --
 //     tests/test_runtime.cpp pins shards {1,2,4,8} x producers {1,2,4}.
 //     A shard's watermark is the largest tag it has fully pre-processed
-//     through (the merge `bound`), which the per-producer published
-//     watermarks keep advancing even while some producers are idle, so
-//     the reorder window never stalls longer than a ~1 ms park cycle.
+//     through (the merge `bound`). Idle producers bound the merge at the
+//     claim counter, so an idle shard's watermark reaches the claim
+//     frontier at its next merge pass: the reorder window waits at most
+//     one worker park cycle (~1 ms) on a shard with no traffic.
 //
 // Threading contract: each producer index is owned by one thread at a
 // time (the SPSC rings assume one pusher per ring); different producer
 // indices submit fully concurrently. flush(), snapshot(), shutdown(), and
 // the training-phase calls take the submit gate exclusively: they are
 // safe to call while producers are live -- submits briefly block, the
-// gate-holder advances every producer's published watermark (no claims
-// can be in flight), waits for quiescence, and releases. A caller that
-// never names a producer submits as producer 0: the single-dispatcher
-// shape, no concurrency to guard. Alerts funnel through one
-// alert::SerializingSink, so any AlertSink works unmodified; with the
+// gate-holder waits for quiescence (no claim can be in flight, so the
+// merge bounds every producer at the claim counter), and releases. A
+// caller that never names a producer submits as producer 0: the
+// single-dispatcher shape, no concurrency to guard. Alerts funnel through
+// one alert::SerializingSink, so any AlertSink works unmodified; with the
 // scan stage active only the scan engine emits (legal flows never
 // alert). Workers spin briefly when idle, then park on a per-shard
 // condition variable; a producer wakes a parked worker only when it
@@ -79,7 +90,8 @@
 // a no-op.
 //
 // Backpressure: when a shard ring is full the producer either blocks
-// (kBlock: waits for the worker to drain, counting the waits) or sheds the
+// (kBlock: sleeps in std::atomic::wait on the shard's `processed` count
+// until the worker makes progress, counting the waits) or sheds the
 // flow (kDrop: counts it and leaves it out of submit_batch's accepted
 // count). Both counters are runtime metrics, exported alongside the
 // merged per-shard engine metrics.
@@ -244,13 +256,6 @@ class ShardedRuntime {
   /// time.
   std::size_t submit_batch(std::span<const FlowItem> items, int producer = 0);
 
-  /// Tells the merge that `producer` has no submission in flight: its
-  /// published watermark advances to the claim counter, so an idle
-  /// producer never holds back the other producers' flows (or the scan
-  /// stage's reorder window). Ingest receivers call this from their poll
-  /// loop; call it from the owning thread only, between submits.
-  void producer_idle(int producer);
-
   /// Blocks until every dispatched flow has been processed, including the
   /// scan stage's reorder window. Takes the submit gate exclusively, so
   /// it is safe while producer threads are live: their submits stall for
@@ -335,9 +340,14 @@ class ShardedRuntime {
   /// slot is driven by at most one thread at a time (see RuntimeConfig).
   struct ProducerSlot {
     /// Tags <= published are all visible in this producer's rings (or
-    /// were shed); release-stored after every push of a claimed range.
-    /// Everything this producer has not pushed yet carries a larger tag.
+    /// were shed); release-stored with the claim base right after each
+    /// claim and with the range's last tag after its pushes. Everything
+    /// this producer has not pushed yet carries a larger tag.
     alignas(kCacheLine) std::atomic<std::uint64_t> published{0};
+    /// True from just before a claim until after its final publish
+    /// (seq_cst set, release clear). While it is down and the ring is
+    /// empty, the merge bounds this producer at the claim counter.
+    std::atomic<bool> in_flight{false};
     /// Flows this producer pushed into rings (metrics).
     std::atomic<std::uint64_t> accepted{0};
     /// Per-shard bucketing scratch for submit_batch; capacity kept across
@@ -362,16 +372,20 @@ class ShardedRuntime {
     /// Flows pushed into this shard's rings, summed over producers
     /// (flush() compares against `processed`).
     std::atomic<std::uint64_t> enqueued{0};
-    /// Worker-side count of flows through the shard engine.
+    /// Worker-side count of flows through the shard engine. Producers
+    /// blocked on a full ring (kBlock) std::atomic::wait on it; the worker
+    /// notifies only while `push_waiters` is non-zero.
     std::atomic<std::uint64_t> processed{0};
+    /// Producers currently blocked on one of this shard's full rings.
+    std::atomic<std::uint32_t> push_waiters{0};
     /// High-water total ring occupancy, sampled by producers at push time.
     std::atomic<std::uint64_t> peak_queued{0};
     /// Scan-stage watermark: every flow dispatched to this shard with
     /// seq <= watermark has been pre-processed and its suspect (if any)
     /// pushed into `suspect_ring` *before* the release store the scan
     /// thread acquires. Advanced by the worker to each merge pass's safe
-    /// bound, which the per-producer published watermarks keep moving
-    /// even while the shard is idle.
+    /// bound, which the claim counter keeps moving even while the shard
+    /// is idle.
     std::atomic<std::uint64_t> watermark{0};
 
     // Park/wake handshake (see worker_main).
@@ -396,6 +410,10 @@ class ShardedRuntime {
     std::uint64_t watermark = 0;
   };
   MergeResult merge_batch(Shard& shard, FlowItem* batch, std::size_t max);
+  /// Re-peeks producer `p`'s ring in `shard`; when it is empty, folds that
+  /// producer's bound into `bound` (see the header's tag contract for the
+  /// load order). Returns the ring's front, or null when empty.
+  const FlowItem* peek_bounded(Shard& shard, std::size_t p, std::uint64_t& bound);
   std::size_t push_batch_with_backpressure(Shard& shard, SpscRing<FlowItem>& ring,
                                            std::span<const FlowItem> items);
   void note_occupancy(Shard& shard);
@@ -423,9 +441,9 @@ class ShardedRuntime {
 
   /// The submit gate: producers hold it shared for the duration of one
   /// submit call; flush/snapshot/shutdown and the training calls hold it
-  /// exclusively, which (a) guarantees no tag claim is in flight, so the
-  /// gate-holder may advance every published watermark to the claim
-  /// counter, and (b) gives the quiescence checks a stable frontier.
+  /// exclusively, which guarantees no tag claim is in flight (so the
+  /// merge bounds every producer at the claim counter) and gives the
+  /// quiescence checks a stable frontier.
   mutable std::shared_mutex submit_gate_;
 
   // -- Shared scan stage (active iff kEnhanced && use_scan_analysis) --
@@ -436,7 +454,8 @@ class ShardedRuntime {
   std::unique_ptr<core::InFilterEngine> scan_engine_;
   std::thread scan_thread_;
   /// The shared claim counter: the last tag handed out. Producers claim
-  /// ranges with fetch_add (one RMW per submit call).
+  /// ranges with a seq_cst fetch_add (one RMW per submit call); the merge
+  /// loads it as the bound of idle producers.
   std::atomic<std::uint64_t> next_seq_{0};
   std::atomic<std::uint64_t> suspects_forwarded_{0};
   std::atomic<std::uint64_t> suspects_completed_{0};

@@ -330,15 +330,6 @@ void expect_same_alert(const alert::Alert& x, const alert::Alert& y) {
   EXPECT_EQ(x.classification, y.classification);
 }
 
-void beacon_until_done(runtime::ShardedRuntime& rt, int producer,
-                       std::atomic<int>& live) {
-  live.fetch_sub(1);
-  while (live.load() > 0) {
-    rt.producer_idle(producer);
-    std::this_thread::yield();
-  }
-}
-
 // The tentpole acceptance sweep: at every (shard count, producer count),
 // a grow resize at ~1/3 and a shrink back at ~2/3 of the stream -- fired
 // from the control thread while producers are live -- must leave the
@@ -398,7 +389,7 @@ TEST(LifecycleResize, MidStreamResizeSweepReplaysIdenticalAlertStream) {
             }
           }
           if (!batch.empty()) rt.submit_batch(batch, p);
-          beacon_until_done(rt, p, live);
+          live.fetch_sub(1);
         });
       }
       // Grow, then shrink back, from the control thread mid-stream. The
@@ -501,7 +492,7 @@ TEST(LifecycleResize, ResizeFlushSnapshotRaceProducersSafely) {
         }
       }
       if (!batch.empty()) rt.submit_batch(batch, p);
-      beacon_until_done(rt, p, live);
+      live.fetch_sub(1);
     });
   }
   const int sizes[] = {3, 1, 4, 2};

@@ -678,20 +678,6 @@ TEST(ShardedRuntime, ShutdownIsIdempotentAndRejectsLateSubmits) {
 
 // -- Multi-producer dispatch --
 
-// A producer that has finished submitting must keep beaconing idle until
-// every producer is done: the merge bound waits on silent producers'
-// watermarks, and a finished-but-silent producer would stall the other
-// producers' flows against a full ring (the ingest receivers beacon every
-// poll cycle for the same reason).
-void beacon_until_done(ShardedRuntime& rt, int producer,
-                       std::atomic<int>& live) {
-  live.fetch_sub(1);
-  while (live.load() > 0) {
-    rt.producer_idle(producer);
-    std::this_thread::yield();
-  }
-}
-
 // The merge property behind every multi-producer guarantee: whatever the
 // producer interleaving, each shard worker consumes its multi-SPSC fan-in
 // in strictly increasing seq order, and each producer's claims stay
@@ -720,7 +706,6 @@ TEST(ShardedRuntime, MergeKeepsSeqStrictlyMonotonePerShard) {
                         tag_log[shard].push_back(item.tag);
                       });
     ASSERT_EQ(rt.producer_count(), static_cast<std::size_t>(kProducers));
-    std::atomic<int> live{kProducers};
     std::vector<std::thread> producers;
     for (int p = 0; p < kProducers; ++p) {
       producers.emplace_back([&, p] {
@@ -736,7 +721,6 @@ TEST(ShardedRuntime, MergeKeepsSeqStrictlyMonotonePerShard) {
           }
         }
         if (!batch.empty()) rt.submit_batch(batch, p);
-        beacon_until_done(rt, p, live);
       });
     }
     for (auto& t : producers) t.join();
@@ -773,23 +757,26 @@ TEST(ShardedRuntime, MergeKeepsSeqStrictlyMonotonePerShard) {
   }
 }
 
-// The tentpole equivalence guarantee, multi-producer form: for every
-// (shard count, producer count), the realized dispatch order -- read back
-// through FlowItem::seq -- replayed through a fresh serial engine yields
-// the sharded run's exact alert stream and scan stats. With one producer
-// the realized order is submission order, so this subsumes the
-// single-dispatcher sweep above.
-TEST(ShardedRuntime, MultiProducerSweepReplaysIdenticalAlertStream) {
-  auto config = runtime_config();
-  config.normal_flows_per_source = 600;  // 12 combos below: keep each cheap
-  config.training_flows = 300;
-  const auto stream = sim::generate_stream(config);
-  const auto clusters = sim::train_clusters(config);
-  core::EngineConfig engine_config = config.engine;
-  engine_config.seed = config.seed;
-  const auto n = stream.flows.size();
+// A small testbed stream with its trained clusters and EIA preload, for
+// the multi-producer replay checks below.
+struct ReplayFixture {
+  ReplayFixture() {
+    config = runtime_config();
+    config.normal_flows_per_source = 600;  // many combos below: keep each cheap
+    config.training_flows = 300;
+    stream = sim::generate_stream(config);
+    clusters = sim::train_clusters(config);
+    engine = config.engine;
+    engine.seed = config.seed;
+  }
 
-  const auto preload = [&](auto& target) {
+  /// Flow index k of an arbitrarily long run cycles through the stream.
+  [[nodiscard]] const dagflow::LabeledFlow& flow(std::size_t k) const {
+    return stream.flows[k % stream.flows.size()];
+  }
+
+  template <typename Target>
+  void preload(Target& target) const {
     for (int s = 0; s < config.sources; ++s) {
       const auto port = static_cast<core::IngressId>(config.first_port + s);
       const auto range = dagflow::eia_range(s, config.blocks_per_source);
@@ -797,84 +784,156 @@ TEST(ShardedRuntime, MultiProducerSweepReplaysIdenticalAlertStream) {
         target.add_expected(port, net::SubBlock{b}.prefix());
       }
     }
-  };
+  }
 
+  sim::ExperimentConfig config;
+  sim::TestbedStream stream;
+  std::shared_ptr<const core::TrainedClusters> clusters;
+  core::EngineConfig engine;
+};
+
+/// Producer p submits the flow indices in plans[p] (tagged with the index)
+/// in `batch_size`-flow submit_batch calls from its own thread, and simply
+/// returns when done -- with `stagger`, producers p > 0 start only after
+/// producer 0 has returned. The realized dispatch order, read back through
+/// FlowItem::seq and replayed through a fresh serial engine, must yield
+/// the runtime's exact alert stream and scan stats.
+void expect_realized_order_replays(const ReplayFixture& fx, int shards,
+                                   std::size_t queue_depth,
+                                   const std::vector<std::vector<std::size_t>>& plans,
+                                   std::size_t batch_size, bool stagger = false) {
+  std::size_t total = 0;
+  for (const auto& plan : plans) total += plan.size();
+  RuntimeConfig rc;
+  rc.shards = shards;
+  rc.producers = static_cast<int>(plans.size());
+  rc.queue_depth = queue_depth;
+  rc.engine = fx.engine;
+  std::vector<std::uint64_t> seq_of(total, 0);  // one writer per tag: race-free
+  alert::CollectingSink sharded_sink;
+  ShardedRuntime rt(rc, &sharded_sink,
+                    [&](const FlowItem& item, const core::Verdict&) {
+                      seq_of[item.tag] = item.seq;
+                    });
+  rt.set_clusters(fx.clusters);
+  fx.preload(rt);
+  std::atomic<bool> first_done{false};
+  std::vector<std::thread> threads;
+  for (std::size_t p = 0; p < plans.size(); ++p) {
+    threads.emplace_back([&, p] {
+      while (stagger && p > 0 && !first_done.load()) std::this_thread::yield();
+      std::vector<FlowItem> batch;
+      for (const std::size_t k : plans[p]) {
+        const auto& flow = fx.flow(k);
+        batch.push_back(FlowItem{flow.record, flow.arrival_port,
+                                 static_cast<util::TimeMs>(flow.record.last), k});
+        if (batch.size() == batch_size) {
+          rt.submit_batch(batch, static_cast<int>(p));
+          batch.clear();
+        }
+      }
+      if (!batch.empty()) rt.submit_batch(batch, static_cast<int>(p));
+      if (p == 0) first_done.store(true);
+    });
+  }
+  for (auto& t : threads) t.join();
+  rt.flush();
+  EXPECT_EQ(rt.stats().processed, total);
+
+  // Replay the realized total order through a fresh serial engine.
+  std::vector<std::size_t> order(total);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return seq_of[a] < seq_of[b];
+  });
+  alert::CollectingSink replay_sink;
+  core::InFilterEngine replay(fx.engine, &replay_sink);
+  replay.set_clusters(fx.clusters);
+  fx.preload(replay);
+  for (const auto k : order) {
+    const auto& flow = fx.flow(k);
+    (void)replay.process(flow.record, flow.arrival_port, flow.record.last);
+  }
+
+  ASSERT_GT(replay_sink.alerts().size(), 0u);
+  ASSERT_EQ(sharded_sink.alerts().size(), replay_sink.alerts().size());
+  for (std::size_t i = 0; i < replay_sink.alerts().size(); ++i) {
+    SCOPED_TRACE("alert " + std::to_string(i));
+    expect_same_alert(sharded_sink.alerts()[i], replay_sink.alerts()[i]);
+  }
+  if (rt.scan_stage_engine() != nullptr) {
+    const auto& replay_scan = replay.scan().stats();
+    const auto& sharded_scan = rt.scan_stage_engine()->scan().stats();
+    EXPECT_EQ(sharded_scan.observed, replay_scan.observed);
+    EXPECT_EQ(sharded_scan.network_scans, replay_scan.network_scans);
+    EXPECT_EQ(sharded_scan.host_scans, replay_scan.host_scans);
+    EXPECT_EQ(sharded_scan.evictions, replay_scan.evictions);
+  }
+}
+
+// The tentpole equivalence guarantee, multi-producer form: for every
+// (shard count, producer count), the realized dispatch order replayed
+// through a fresh serial engine yields the sharded run's exact alert
+// stream and scan stats. With one producer the realized order is
+// submission order, so this subsumes the single-dispatcher sweep above.
+TEST(ShardedRuntime, MultiProducerSweepReplaysIdenticalAlertStream) {
+  const ReplayFixture fx;
+  const std::size_t n = fx.stream.flows.size();
   for (const int shards : {1, 2, 4, 8}) {
     for (const int producers : {1, 2, 4}) {
       SCOPED_TRACE("shards=" + std::to_string(shards) +
                    " producers=" + std::to_string(producers));
-      RuntimeConfig rc;
-      rc.shards = shards;
-      rc.producers = producers;
-      rc.engine = engine_config;
-      std::vector<std::uint64_t> seq_of(n, 0);  // one writer per tag: race-free
-      alert::CollectingSink sharded_sink;
-      ShardedRuntime rt(rc, &sharded_sink,
-                        [&](const FlowItem& item, const core::Verdict&) {
-                          seq_of[item.tag] = item.seq;
-                        });
-      rt.set_clusters(clusters);
-      preload(rt);
-      std::atomic<int> live{producers};
-      std::vector<std::thread> threads;
-      for (int p = 0; p < producers; ++p) {
-        threads.emplace_back([&, p] {
-          std::vector<FlowItem> batch;
-          for (std::size_t i = static_cast<std::size_t>(p); i < n;
-               i += static_cast<std::size_t>(producers)) {
-            const auto& flow = stream.flows[i];
-            batch.push_back(FlowItem{flow.record, flow.arrival_port,
-                                     static_cast<util::TimeMs>(flow.record.last),
-                                     i});
-            if (batch.size() == 128) {
-              rt.submit_batch(batch, p);
-              batch.clear();
-            }
-          }
-          if (!batch.empty()) rt.submit_batch(batch, p);
-          beacon_until_done(rt, p, live);
-        });
+      std::vector<std::vector<std::size_t>> plans(
+          static_cast<std::size_t>(producers));
+      for (std::size_t i = 0; i < n; ++i) {
+        plans[i % plans.size()].push_back(i);
       }
-      for (auto& t : threads) t.join();
-      rt.flush();
-
-      // Replay the realized total order through a fresh serial engine.
-      std::vector<std::size_t> order(n);
-      std::iota(order.begin(), order.end(), std::size_t{0});
-      std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-        return seq_of[a] < seq_of[b];
-      });
-      alert::CollectingSink replay_sink;
-      core::InFilterEngine replay(engine_config, &replay_sink);
-      replay.set_clusters(clusters);
-      preload(replay);
-      for (const auto i : order) {
-        const auto& flow = stream.flows[i];
-        (void)replay.process(flow.record, flow.arrival_port, flow.record.last);
-      }
-
-      ASSERT_GT(replay_sink.alerts().size(), 0u);
-      ASSERT_EQ(sharded_sink.alerts().size(), replay_sink.alerts().size());
-      for (std::size_t i = 0; i < replay_sink.alerts().size(); ++i) {
-        SCOPED_TRACE("alert " + std::to_string(i));
-        expect_same_alert(sharded_sink.alerts()[i], replay_sink.alerts()[i]);
-      }
-      if (rt.scan_stage_engine() != nullptr) {
-        const auto& replay_scan = replay.scan().stats();
-        const auto& sharded_scan = rt.scan_stage_engine()->scan().stats();
-        EXPECT_EQ(sharded_scan.observed, replay_scan.observed);
-        EXPECT_EQ(sharded_scan.network_scans, replay_scan.network_scans);
-        EXPECT_EQ(sharded_scan.host_scans, replay_scan.host_scans);
-        EXPECT_EQ(sharded_scan.evictions, replay_scan.evictions);
-      }
+      expect_realized_order_replays(fx, shards, RuntimeConfig{}.queue_depth,
+                                    plans, 128);
     }
+  }
+}
+
+// Liveness regression: a producer that submits once and returns -- no
+// idle announcement of any kind -- must never hold back a producer that
+// keeps submitting far more than its rings hold. The merge bounds the
+// finished producer at the claim counter itself.
+TEST(ShardedRuntime, ProducerStopsEarlyWithoutBeacon) {
+  const ReplayFixture fx;
+  for (const std::size_t depth : {std::size_t{16}, std::size_t{4096}}) {
+    SCOPED_TRACE("queue_depth=" + std::to_string(depth));
+    constexpr std::size_t kFirst = 32;
+    std::vector<std::vector<std::size_t>> plans(2);
+    for (std::size_t k = 0; k < kFirst + 64 * depth; ++k) {
+      plans[k < kFirst ? 0 : 1].push_back(k);
+    }
+    expect_realized_order_replays(fx, 2, depth, plans, 128, /*stagger=*/true);
+  }
+}
+
+// Liveness regression: tag ranges claimed 512 flows at a time through
+// 16-slot rings. Each claim spans many ring refills on both shards, so
+// producers wait on workers that wait on other producers' claims; the
+// in-flight claim with the lowest base must always make progress.
+TEST(ShardedRuntime, ClaimsLargerThanRingsDoNotDeadlock) {
+  const ReplayFixture fx;
+  constexpr std::size_t kClaim = 512;
+  for (const int producers : {2, 4}) {
+    SCOPED_TRACE("producers=" + std::to_string(producers));
+    std::vector<std::vector<std::size_t>> plans(
+        static_cast<std::size_t>(producers));
+    const std::size_t total = plans.size() * 4 * kClaim;
+    for (std::size_t k = 0; k < total; ++k) {
+      plans[(k / kClaim) % plans.size()].push_back(k);
+    }
+    expect_realized_order_replays(fx, 2, 16, plans, kClaim);
   }
 }
 
 // Satellite regression for the old single-dispatcher precondition:
 // snapshot() and flush() must be safe while producer threads are
-// mid-submit -- the submit gate stalls producers, advances every
-// watermark, and nothing is lost or double-counted. TSan-clean.
+// mid-submit -- the submit gate stalls producers, and nothing is lost or
+// double-counted. TSan-clean.
 TEST(ShardedRuntime, SnapshotAndFlushAreSafeWhileProducersSubmit) {
   constexpr int kProducers = 3;
   constexpr std::uint64_t kPerProducer = 2000;
@@ -899,7 +958,7 @@ TEST(ShardedRuntime, SnapshotAndFlushAreSafeWhileProducersSubmit) {
         }
       }
       if (!batch.empty()) rt.submit_batch(batch, p);
-      beacon_until_done(rt, p, live);
+      live.fetch_sub(1);
     });
   }
   // Hammer the gate from the control thread while producers are live.
