@@ -33,7 +33,6 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
-#include <functional>
 #include <map>
 #include <numeric>
 #include <span>
@@ -74,24 +73,11 @@ core::EngineConfig engine_config(const sim::ExperimentConfig& config) {
   return engine;
 }
 
-void preload_eia(const sim::ExperimentConfig& config,
-                 const std::function<void(core::IngressId, const net::Prefix&)>& add) {
-  for (int s = 0; s < config.sources; ++s) {
-    const auto port = static_cast<core::IngressId>(config.first_port + s);
-    const auto range = dagflow::eia_range(s, config.blocks_per_source);
-    for (int b = range.first.index(); b <= range.last.index(); ++b) {
-      add(port, net::SubBlock{b}.prefix());
-    }
-  }
-}
-
 Measurement run_serial_batch(const sim::ExperimentConfig& config,
                              const sim::TestbedStream& stream,
                              std::shared_ptr<const core::TrainedClusters> clusters) {
   core::InFilterEngine engine(engine_config(config));
-  preload_eia(config, [&](core::IngressId ingress, const net::Prefix& prefix) {
-    engine.add_expected(ingress, prefix);
-  });
+  sim::preload_eia(config, engine);
   engine.set_clusters(std::move(clusters));
 
   constexpr std::size_t kBatch = 256;
@@ -134,9 +120,7 @@ Measurement run_sharded(const sim::ExperimentConfig& config,
       [&](const runtime::FlowItem&, const core::Verdict& verdict) {
         if (verdict.attack) attacks.fetch_add(1, std::memory_order_relaxed);
       });
-  preload_eia(config, [&](core::IngressId ingress, const net::Prefix& prefix) {
-    rt.add_expected(ingress, prefix);
-  });
+  sim::preload_eia(config, rt);
   rt.set_clusters(std::move(clusters));
 
   // Batched dispatch, like a collector draining a socket buffer.
@@ -204,9 +188,7 @@ Measurement run_sharded_mp(const sim::ExperimentConfig& config,
         seq_of[item.tag] = item.seq;
         attack_of[item.tag] = verdict.attack ? 1 : 0;
       });
-  preload_eia(config, [&](core::IngressId ingress, const net::Prefix& prefix) {
-    rt.add_expected(ingress, prefix);
-  });
+  sim::preload_eia(config, rt);
   rt.set_clusters(clusters);
 
   Measurement m;
@@ -260,9 +242,7 @@ Measurement run_sharded_mp(const sim::ExperimentConfig& config,
   std::sort(order.begin(), order.end(),
             [&](std::size_t a, std::size_t b) { return seq_of[a] < seq_of[b]; });
   core::InFilterEngine replay(engine_config(config));
-  preload_eia(config, [&](core::IngressId ingress, const net::Prefix& prefix) {
-    replay.add_expected(ingress, prefix);
-  });
+  sim::preload_eia(config, replay);
   replay.set_clusters(std::move(clusters));
   bool identical = true;
   for (const auto i : order) {

@@ -64,7 +64,7 @@ if [[ "$run_tsan" == 1 ]]; then
   cmake --preset tsan
   cmake --build --preset tsan -j "$jobs"
   ./build-tsan/tests/infilter_tests \
-    --gtest_filter='ShardedRuntime*:SpscRing*:SerializingSink*:Node*:InFilterNode*:Ingest*:Tracer*:TraceRuntime*:TraceRing*:ThreadLane*:EiaBackend*:EiaBackendParse*:EiaTable*:EiaIo*'
+    --gtest_filter='ShardedRuntime*:SpscRing*:Node*:InFilterNode*:Ingest*:Tracer*:TraceRuntime*:TraceRing*:ThreadLane*:EiaBackend*:EiaBackendParse*:EiaTable*:EiaIo*'
 fi
 
 if [[ "$run_producers" == 1 ]]; then
@@ -78,12 +78,12 @@ fi
 if [[ "$run_soak" == 1 ]]; then
   echo "== lane: ThreadSanitizer lifecycle soak =="
   # The resize/flush/snapshot-vs-producers race, the resize bit-consistency
-  # sweep, the aging property tests, and the short churn-soak harness
-  # (tests/test_lifecycle.cpp) under TSan.
+  # sweep, NNS across a scan-off resize, the aging property tests, and the
+  # short churn-soak harness (tests/test_lifecycle.cpp) under TSan.
   cmake --preset tsan
   cmake --build --preset tsan -j "$jobs"
   ./build-tsan/tests/infilter_tests \
-    --gtest_filter='Lifecycle*:EiaAging*:EiaSetRemove*:EiaIoLifecycle*'
+    --gtest_filter='Lifecycle*:ShardedRuntime.ScanOffNnsSurvivesResize:EiaAging*:EiaSetRemove*:EiaIoLifecycle*'
 fi
 
 if [[ "$run_ubsan" == 1 ]]; then

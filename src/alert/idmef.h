@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -59,13 +58,12 @@ struct Alert {
 /// Consumer interface ("These could easily be used in a larger system").
 ///
 /// Threading contract: consume() is invoked on whichever thread runs the
-/// detection -- the caller's thread for a serial InFilterEngine, a worker
+/// detection -- the caller's thread for a serial InFilterEngine, the scan
 /// thread for the sharded runtime. Implementations are NOT required to be
-/// thread-safe: every engine in this repository promises to serialize its
-/// consume() calls (the serial engine trivially, the sharded runtime via
-/// SerializingSink, which also keeps alert ids dense across shards). A
-/// sink shared between *independently driven* engines must either be
-/// wrapped in SerializingSink by the owner or lock internally.
+/// thread-safe: every engine in this repository serializes its consume()
+/// calls (the sharded runtime emits from its scan engine alone, so ids
+/// stay dense too). A sink shared between *independently driven* engines
+/// must lock internally.
 class AlertSink {
  public:
   virtual ~AlertSink() = default;
@@ -82,35 +80,6 @@ class CollectingSink final : public AlertSink {
 
  private:
   std::vector<Alert> alerts_;
-};
-
-/// Adapter that makes any sink safe to share across threads: consume()
-/// calls are serialized under a mutex and alert ids are renumbered into
-/// one dense global sequence (per-shard engines each number their own
-/// alerts from 1, so raw ids would collide across shards). The sharded
-/// runtime routes every shard's alerts through one of these.
-class SerializingSink final : public AlertSink {
- public:
-  /// `inner` is not owned and must outlive this adapter.
-  explicit SerializingSink(AlertSink* inner) : inner_(inner) {}
-
-  void consume(const Alert& alert) override {
-    if (inner_ == nullptr) return;
-    std::lock_guard lock(mutex_);
-    Alert renumbered = alert;
-    renumbered.id = ++next_id_;
-    inner_->consume(renumbered);
-  }
-
-  [[nodiscard]] std::uint64_t delivered() const {
-    std::lock_guard lock(mutex_);
-    return next_id_;
-  }
-
- private:
-  AlertSink* inner_;
-  mutable std::mutex mutex_;
-  std::uint64_t next_id_ = 0;
 };
 
 }  // namespace infilter::alert

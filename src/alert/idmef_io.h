@@ -14,8 +14,8 @@
 // implementations -- including anything that feeds this parser, such as a
 // sink appending IDMEF documents to a feed -- are called with serialized
 // consume() invocations by every engine in this repository; the sharded
-// runtime funnels all worker threads through alert::SerializingSink before
-// the user's sink. Concatenated feeds written from a sink therefore never
+// runtime emits only from its scan thread, straight into the user's sink.
+// Concatenated feeds written from a sink therefore never
 // interleave two documents, which is what makes parse_idmef_stream's
 // "split on message boundaries" contract sound under the concurrent
 // runtime. The parse functions themselves are pure and re-entrant.

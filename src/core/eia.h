@@ -158,7 +158,8 @@ class EiaTable {
                         util::TimeMs now);
 
   /// Eagerly expires every entry whose idle time exceeds max_idle_ms at
-  /// `now` (memory reclaim). Uses the same predicate as the lazy lookup
+  /// `now`: removes its membership and keeps its age tombstone, so age
+  /// metadata is not reclaimed. Uses the same predicate as the lazy lookup
   /// path, so it is verdict-neutral: it only removes entries every later
   /// lookup would have rejected anyway. Returns the number expired.
   std::size_t age_sweep(util::TimeMs now);

@@ -94,8 +94,8 @@ util::Result<EiaBackendConfig> parse_eia_backend(std::string_view text) {
                                            : rest.substr(comma + 1);
   }
   if (field >= 1) {
-    if (bits < 64 || bits > (std::uint64_t{1} << 36)) {
-      return util::Error{"backend bits must be in [64, 2^36]"};
+    if (bits < 64 || bits > kMaxEiaBackendBits) {
+      return util::Error{"backend bits must be in [64, 2^30]"};
     }
     config.bits = static_cast<std::size_t>(bits);
   }

@@ -68,6 +68,15 @@ enum class EiaBackendType : std::uint8_t {
 /// shard-invariance (see the sharding contract above).
 inline constexpr std::size_t kBloomBanks = 1024;
 
+/// Cap on a probabilistic backend's total budget: `bits` times the number
+/// of filter arrays (one shared array, or one per declared ingress with
+/// per_ingress). 2^30 positions are 128 MiB of Bloom bits or 1 GiB of
+/// counting-Bloom counters, 16x the budget bench/eia_scale gives 10^7
+/// /24s. parse_eia_backend and import_eia (core/eia_io.h) reject anything
+/// larger, so a hostile option or dump fails cleanly instead of
+/// exhausting memory.
+inline constexpr std::uint64_t kMaxEiaBackendBits = std::uint64_t{1} << 30;
+
 struct EiaBackendConfig {
   EiaBackendType type = EiaBackendType::kExact;
 

@@ -1,5 +1,6 @@
 #include "core/eia_io.h"
 
+#include <algorithm>
 #include <charconv>
 #include <sstream>
 
@@ -201,6 +202,9 @@ util::Result<BackendDirective> parse_backend_directive(std::string_view line) {
   if (out.config.subfilters < 1 || out.config.subfilters > 8) {
     return util::Error{"backend subfilters out of range"};
   }
+  if (out.config.bits > kMaxEiaBackendBits) {
+    return util::Error{"backend bits above the 2^30 cap"};
+  }
   return out;
 }
 
@@ -370,7 +374,19 @@ util::Result<EiaTable> import_eia(std::string_view text, EiaTableConfig config) 
         return fail("bad ingress id '" + std::string(id_text) + "'");
       }
       current = static_cast<IngressId>(*id);
-      ensure_table().declare_ingress(*current);  // a stanza may be empty
+      EiaTable& target = ensure_table();
+      if (probabilistic() && config.backend.per_ingress) {
+        // Each new ingress allocates a whole filter array: bound the total
+        // before allocating (kMaxEiaBackendBits).
+        const auto known = target.backend().ingresses();
+        const bool is_new =
+            std::find(known.begin(), known.end(), *current) == known.end();
+        if (is_new && (known.size() + 1) * std::uint64_t{config.backend.bits} >
+                          kMaxEiaBackendBits) {
+          return fail("per-ingress filters exceed the 2^30-bit backend cap");
+        }
+      }
+      target.declare_ingress(*current);  // a stanza may be empty
       continue;
     }
 

@@ -197,8 +197,9 @@ class InFilterEngine {
   }
 
   /// Eagerly expires idled EIA entries at virtual time `now`
-  /// (EiaTable::age_sweep): verdict-neutral memory reclaim. Returns the
-  /// number expired; 0 when aging is off.
+  /// (EiaTable::age_sweep): verdict-neutral removal of idle membership;
+  /// the age tombstones stay. Returns the number expired; 0 when aging is
+  /// off.
   std::size_t age_sweep(util::TimeMs now) { return eia_.age_sweep(now); }
   [[nodiscard]] const TrainedClusters* clusters() const { return clusters_.get(); }
   [[nodiscard]] ScanAnalysis& scan() { return scan_; }

@@ -17,10 +17,10 @@
 // shard-local under the runtime's source-/24 shard hash. That keeps
 // verdicts bit-identical to a serial replay at every shard x producer
 // count, the same contract the runtime's reorder stage upholds.
-// `EiaTable::age_sweep` may additionally reclaim memory eagerly; it uses
-// the identical predicate, so a sweep at time T only removes entries every
-// later lookup would have rejected anyway -- verdict-neutral by
-// construction.
+// `EiaTable::age_sweep` may additionally remove idle membership eagerly
+// (the age tombstones stay); it uses the identical predicate, so a sweep
+// at time T only removes entries every later lookup would have rejected
+// anyway -- verdict-neutral by construction.
 
 #pragma once
 

@@ -46,10 +46,9 @@ obs::RegistrySnapshot history_only(const obs::RegistrySnapshot& snap) {
 ShardedRuntime::ShardedRuntime(RuntimeConfig config, alert::AlertSink* sink,
                                VerdictHook hook)
     : config_(std::move(config)),
-      sink_(sink),
-      engine_sink_(sink != nullptr),
       hook_(std::move(hook)),
       tracer_(config_.tracer),
+      scan_engine_(shard_engine_config(config_), sink),
       owned_registry_(std::make_unique<obs::Registry>()),
       registry_(config_.registry != nullptr ? config_.registry
                                             : owned_registry_.get()) {
@@ -180,33 +179,12 @@ ShardedRuntime::ShardedRuntime(RuntimeConfig config, alert::AlertSink* sink,
       [this] { return affinity_failures_.load(std::memory_order_relaxed); },
       "Thread-pinning attempts the kernel refused (placement is a hint)");
 
-  const bool scan_stage = config_.engine.mode == core::EngineMode::kEnhanced &&
-                          config_.engine.use_scan_analysis;
   producers_.reserve(static_cast<std::size_t>(config_.producers));
   for (int p = 0; p < config_.producers; ++p) {
     producers_.push_back(std::make_unique<ProducerSlot>());
   }
   shards_.reserve(static_cast<std::size_t>(config_.shards));
-  for (int s = 0; s < config_.shards; ++s) {
-    auto shard = std::make_unique<Shard>();
-    shard->index = s;
-    shard->rings.reserve(producers_.size());
-    for (std::size_t p = 0; p < producers_.size(); ++p) {
-      shard->rings.push_back(
-          std::make_unique<SpscRing<FlowItem>>(config_.queue_depth));
-    }
-    shard->engine = std::make_unique<core::InFilterEngine>(
-        shard_engine_config(config_), sink != nullptr ? &sink_ : nullptr);
-    if (scan_stage) {
-      shard->suspect_ring =
-          std::make_unique<SpscRing<SeqSuspect>>(config_.queue_depth);
-    }
-    shards_.push_back(std::move(shard));
-  }
-  if (scan_stage) {
-    scan_engine_ = std::make_unique<core::InFilterEngine>(
-        shard_engine_config(config_), sink != nullptr ? &sink_ : nullptr);
-  }
+  for (int s = 0; s < config_.shards; ++s) shards_.push_back(make_shard(s));
   // One lane per producer slot: submit_batch runs on the slot's owning thread
   // (one thread at a time, per the contract). No queue probe -- a
   // producer's input is its caller, not a ring we can measure.
@@ -223,6 +201,20 @@ ShardedRuntime::ShardedRuntime(RuntimeConfig config, alert::AlertSink* sink,
 }
 
 ShardedRuntime::~ShardedRuntime() { shutdown(); }
+
+std::unique_ptr<ShardedRuntime::Shard> ShardedRuntime::make_shard(int index) {
+  auto shard = std::make_unique<Shard>();
+  shard->index = index;
+  shard->rings.reserve(producers_.size());
+  for (std::size_t p = 0; p < producers_.size(); ++p) {
+    shard->rings.push_back(std::make_unique<SpscRing<FlowItem>>(config_.queue_depth));
+  }
+  // The EIA half only: no sink (only the scan engine emits alerts) and no
+  // clusters (NNS runs on the scan stage).
+  shard->engine = std::make_unique<core::InFilterEngine>(shard_engine_config(config_));
+  shard->suspect_ring = std::make_unique<SpscRing<SeqSuspect>>(config_.queue_depth);
+  return shard;
+}
 
 void ShardedRuntime::add_expected(core::IngressId ingress,
                                   const net::Prefix& prefix) {
@@ -251,9 +243,8 @@ void ShardedRuntime::set_clusters(
     std::shared_ptr<const core::TrainedClusters> clusters) {
   std::unique_lock gate(submit_gate_);
   flush_locked();
-  for (auto& shard : shards_) shard->engine->set_clusters(clusters);
-  // With the scan stage active the NNS stage runs there, not on shards.
-  if (scan_engine_ != nullptr) scan_engine_->set_clusters(std::move(clusters));
+  // NNS runs on the scan stage only; shard engines never see clusters.
+  scan_engine_.set_clusters(std::move(clusters));
 }
 
 void ShardedRuntime::train(std::span<const netflow::V5Record> normal_flows) {
@@ -527,7 +518,6 @@ void ShardedRuntime::worker_main(Shard& shard) {
       affinity_failures_.fetch_add(1, std::memory_order_relaxed);
     }
   }
-  const bool scan_stage = shard.suspect_ring != nullptr;
   // The worker's flight-recorder lane: heartbeat + state are always
   // published (one relaxed store per batch); span emission sits behind the
   // tracer_->enabled() branch. The queue probe captures the raw shard,
@@ -567,7 +557,7 @@ void ShardedRuntime::worker_main(Shard& shard) {
       // Nothing mergeable, but the frontier may still move (the claim
       // counter bounds idle producers): keep the scan stage's reorder
       // window fed.
-      if (scan_stage) advance_watermark(merged.watermark);
+      advance_watermark(merged.watermark);
       if (stopping_.load(std::memory_order_acquire) && shard.queued() == 0) break;
       if (lane != nullptr) lane->set_state(obs::ThreadState::kIdle);
       // Spin briefly (a producer may be mid-refill), then park. The
@@ -617,29 +607,6 @@ void ShardedRuntime::worker_main(Shard& shard) {
     }
     for (std::size_t i = 0; i < n; ++i) {
       inputs[i] = core::FlowInput{batch[i].record, batch[i].ingress, batch[i].now};
-    }
-
-    if (!scan_stage) {
-      // Whole pipeline per shard: exact without a shared stage (kBasic is
-      // EIA-only; with scan analysis off, EIA and NNS shard exactly).
-      shard.engine->process_batch(
-          std::span<const core::FlowInput>(inputs.data(), n),
-          std::span<core::Verdict>(verdicts.data(), n));
-      if (sampled_any) {
-        const std::uint64_t t_done = obs::Tracer::now_ns();
-        for (std::size_t i = 0; i < n; ++i) {
-          if (batch[i].recv_ns == 0) continue;
-          lane->emit(obs::SpanKind::kProcess, batch[i].hop_ns,
-                     t_done - batch[i].hop_ns, batch[i].tag);
-          tracer_->e2e_us->observe(
-              static_cast<double>(t_done - batch[i].recv_ns) / 1000.0);
-        }
-      }
-      if (hook_) {
-        for (std::size_t i = 0; i < n; ++i) hook_(batch[i], verdicts[i]);
-      }
-      complete(n);
-      continue;
     }
 
     // EIA stage only; suspects go to the scan stage with their dispatch
@@ -780,7 +747,7 @@ void ShardedRuntime::scan_main() {
         }
       }
       if (verdicts.size() < suspects.size()) verdicts.resize(suspects.size());
-      scan_engine_->finish_suspect_batch(
+      scan_engine_.finish_suspect_batch(
           suspects, std::span<core::Verdict>(verdicts.data(), suspects.size()));
       if (sampled_any) {
         const std::uint64_t t_fin = obs::Tracer::now_ns();
@@ -839,7 +806,6 @@ void ShardedRuntime::flush_locked() {
       std::this_thread::sleep_for(kDrainNap);
     }
   }
-  if (scan_engine_ == nullptr) return;
   // Phase 2: the scan stage completes every forwarded suspect. Progress
   // needs no help beyond waking the scan thread: parked idle workers
   // re-advance their watermarks at least once per ~1 ms park cycle, which
@@ -867,14 +833,12 @@ void ShardedRuntime::join_threads_locked() {
   }
   // Workers first, scan thread second: after the flush nothing is in
   // flight, and joined workers can no longer forward suspects.
-  if (scan_thread_.joinable()) {
-    scan_stopping_.store(true, std::memory_order_release);
-    {
-      std::lock_guard lock(scan_wake_mutex_);
-      scan_wake_cv_.notify_one();
-    }
-    scan_thread_.join();
+  scan_stopping_.store(true, std::memory_order_release);
+  {
+    std::lock_guard lock(scan_wake_mutex_);
+    scan_wake_cv_.notify_one();
   }
+  scan_thread_.join();
 }
 
 void ShardedRuntime::start_threads_locked() {
@@ -883,9 +847,7 @@ void ShardedRuntime::start_threads_locked() {
   for (auto& shard : shards_) {
     shard->worker = std::thread([this, raw = shard.get()] { worker_main(*raw); });
   }
-  if (scan_engine_ != nullptr) {
-    scan_thread_ = std::thread([this] { scan_main(); });
-  }
+  scan_thread_ = std::thread([this] { scan_main(); });
 }
 
 void ShardedRuntime::shutdown() {
@@ -933,24 +895,11 @@ bool ShardedRuntime::resize(int new_shards) {
   // every tag at or below it is fully processed, so the scan stage's
   // reorder window never waits on pre-resize history.
   const std::uint64_t frontier = next_seq_.load(std::memory_order_relaxed);
-  const bool scan_stage = scan_engine_ != nullptr;
   config_.shards = new_shards;
   shards_.clear();
   shards_.reserve(static_cast<std::size_t>(new_shards));
   for (int s = 0; s < new_shards; ++s) {
-    auto shard = std::make_unique<Shard>();
-    shard->index = s;
-    shard->rings.reserve(producers_.size());
-    for (std::size_t p = 0; p < producers_.size(); ++p) {
-      shard->rings.push_back(
-          std::make_unique<SpscRing<FlowItem>>(config_.queue_depth));
-    }
-    shard->engine = std::make_unique<core::InFilterEngine>(
-        shard_engine_config(config_), engine_sink_ ? &sink_ : nullptr);
-    if (scan_stage) {
-      shard->suspect_ring =
-          std::make_unique<SpscRing<SeqSuspect>>(config_.queue_depth);
-    }
+    auto shard = make_shard(s);
     shard->watermark.store(frontier, std::memory_order_relaxed);
     lifecycle::install_engine_state(harvest, *shard->engine,
                                     static_cast<std::size_t>(s),
@@ -1047,10 +996,10 @@ obs::RegistrySnapshot ShardedRuntime::snapshot() const {
   // suspect is completed (the acquire pairs with the scan thread's
   // release of suspects_completed_) *and* no busy shard could still
   // forward more. flush() first for a complete view.
-  if (scan_engine_ != nullptr && all_quiescent &&
+  if (all_quiescent &&
       suspects_completed_.load(std::memory_order_acquire) ==
           suspects_forwarded_.load(std::memory_order_relaxed)) {
-    parts.push_back(scan_engine_->registry().snapshot());
+    parts.push_back(scan_engine_.registry().snapshot());
   }
   return obs::merge_snapshots(parts);
 }

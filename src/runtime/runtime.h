@@ -1,9 +1,11 @@
 // The concurrent sharded detection runtime.
 //
 // A layer between flow ingestion and the analysis engine: N worker
-// threads, each owning a private InFilterEngine (its own EIA table, scan
-// buffer, and metrics registry), fed by bounded SPSC rings from P
-// producers -- one ring per (producer, shard) pair, merged by the worker.
+// threads, each owning a private InFilterEngine for the EIA half of the
+// pipeline (its own EIA table, hop-count table and metrics registry), fed
+// by bounded SPSC rings from P producers -- one ring per (producer, shard)
+// pair, merged by the worker -- plus one scan-stage thread that finishes
+// every shard's suspects on a single shared engine.
 // Producers hash each flow's source /24 to a fixed shard, so every flow
 // from one source -- and every flow sharing that source's EIA
 // auto-learning counter -- always reaches the same engine. The paper's
@@ -39,6 +41,11 @@
 //     never held back (every other producer's bound lies at or above its
 //     last tag), so claims larger than the rings cannot deadlock.
 //
+// Topology, the same in every engine mode: workers run pre_process_batch
+// and forward suspects; the scan thread runs finish_suspect_batch, which
+// also decides kBasic and disabled stages. Only the scan engine holds the
+// trained clusters and the alert sink.
+//
 // Semantics relative to one serial engine processing the flows in tag
 // order (with one producer, that is submission order; with several, the
 // realized claim interleaving -- tests/test_runtime.cpp replays the
@@ -47,16 +54,16 @@
 //     (ingress, source /24) -- a refinement of the shard hash -- and the
 //     per-shard merge preserves tag order, so a shard engine sees the
 //     same state-relevant history a serial engine would.
-//   * NNS: exact. Trained clusters are shared immutable state and the
-//     probe RNG is derived per flow (core/engine.h), not from a stream.
+//   * NNS: exact. The probe RNG is derived per flow (core/engine.h), not
+//     from a stream, and the one trained cluster set lives on the scan
+//     engine.
 //   * Scan analysis: exact. The suspect buffer keys on *destination*
 //     (hosts-per-port / ports-per-host), which source-sharding would
-//     split. Instead, shard engines run only the EIA stage
-//     (pre_process_batch); flows that fail it are forwarded -- tagged
-//     with their dispatch sequence number -- over per-shard SPSC rings to
-//     one scan-stage thread, which reorders them (a min-heap reorder
+//     split. Instead, flows that fail the EIA stage are forwarded --
+//     tagged with their dispatch sequence number -- over per-shard SPSC
+//     rings to the scan thread, which reorders them (a min-heap reorder
 //     window bounded by per-shard watermarks) back into tag order and
-//     completes them (scan -> NNS -> alert) on a single shared engine.
+//     completes them on the shared scan engine.
 //     Verdicts, alert streams, and scan stats are bit-identical to the
 //     serial engine at every shard count and every producer count --
 //     tests/test_runtime.cpp pins shards {1,2,4,8} x producers {1,2,4}.
@@ -74,13 +81,14 @@
 // gate-holder waits for quiescence (no claim can be in flight, so the
 // merge bounds every producer at the claim counter), and releases. A
 // caller that never names a producer submits as producer 0: the
-// single-dispatcher shape, no concurrency to guard. Alerts funnel through
-// one alert::SerializingSink, so any AlertSink works unmodified; with the
-// scan stage active only the scan engine emits (legal flows never
-// alert). Workers spin briefly when idle, then park on a per-shard
-// condition variable; a producer wakes a parked worker only when it
-// pushes into that worker's rings. The scan thread parks the same way and
-// is woken by workers forwarding suspects.
+// single-dispatcher shape, no concurrency to guard. The caller's
+// AlertSink is the scan engine's own: only the scan thread emits, so any
+// AlertSink works unmodified and alert ids are dense. The VerdictHook
+// fires on the owning worker for legal flows and on the scan thread, in
+// dispatch order, for suspects. Workers spin briefly when idle, then park
+// on a per-shard condition variable; a producer wakes a parked worker
+// only when it pushes into that worker's rings. The scan thread parks the
+// same way and is woken by workers forwarding suspects.
 //
 // CPU placement: when RuntimeConfig::cpu_set is non-empty, each worker
 // pins itself to cpu_set[(cpu_slot_offset + shard index) % size] and the
@@ -142,11 +150,9 @@ struct RuntimeConfig {
   /// ingest receivers and the runtime threads over one list.
   std::vector<int> cpu_set;
   std::size_t cpu_slot_offset = 0;
-  /// Per-shard engine template. `engine.registry` is ignored: every shard
-  /// gets a private registry so snapshots never race engine teardown, and
-  /// snapshot() merges them. All shards share `engine.seed` -- with
-  /// per-flow NNS randomness, equal seeds are what make shard placement
-  /// invisible to verdicts.
+  /// Engine template for the shard engines and the scan engine.
+  /// `engine.registry` is ignored: every engine gets a private registry so
+  /// snapshots never race engine teardown, and snapshot() merges them.
   core::EngineConfig engine;
   /// Runtime-level value metrics (dispatch, drop, batch counters and
   /// histograms) land here; null = a runtime-private registry. Pull gauges
@@ -202,17 +208,17 @@ struct FlowItem {
 class ShardedRuntime {
  public:
   /// Called once per flow when its verdict is final: on the owning
-  /// worker's thread for legal flows, on the scan-stage thread for
-  /// suspect flows (on the worker for those too when the scan stage is
-  /// inactive). `item.seq` carries the realized dispatch sequence, which
-  /// is how the equivalence tests reconstruct the total order a
-  /// multi-producer run committed to. The callable must be thread-safe
-  /// (threads invoke it concurrently).
+  /// worker's thread for legal flows, on the scan-stage thread -- in
+  /// dispatch order -- for suspect flows. `item.seq` carries the realized
+  /// dispatch sequence, which is how the equivalence tests reconstruct the
+  /// total order a multi-producer run committed to. The callable must be
+  /// thread-safe (threads invoke it concurrently).
   using VerdictHook =
       std::function<void(const FlowItem& item, const core::Verdict& verdict)>;
 
-  /// Spawns the workers. `sink` (optional, not owned) receives every
-  /// shard's alerts, serialized and renumbered into one dense id sequence.
+  /// Spawns the workers and the scan thread. `sink` (optional, not owned)
+  /// is the scan engine's sink: it receives every alert, from one thread,
+  /// with dense ids.
   explicit ShardedRuntime(RuntimeConfig config, alert::AlertSink* sink = nullptr,
                           VerdictHook hook = nullptr);
   /// Drains and joins (shutdown()).
@@ -230,9 +236,10 @@ class ShardedRuntime {
   /// Installs a previously learned hop-count table into every shard
   /// engine (each keeps the copy covering its own key subset).
   void install_hopcount(const hopcount::HopCountTable& table);
-  /// Installs one trained cluster set, shared (immutable) by all shards.
+  /// Installs one trained cluster set on the scan engine, where the NNS
+  /// stage runs.
   void set_clusters(std::shared_ptr<const core::TrainedClusters> clusters);
-  /// Trains once and shares the result across shards.
+  /// Trains once and installs the result (set_clusters).
   void train(std::span<const netflow::V5Record> normal_flows);
 
   // -- Normal processing phase --
@@ -273,20 +280,19 @@ class ShardedRuntime {
   /// over shards to make dispatch skew -- e.g. under a Zipf source
   /// distribution -- a first-class artifact.
   [[nodiscard]] std::vector<std::size_t> shard_queue_peaks() const;
-  /// Direct access to a shard's engine, for tests and post-run inspection.
-  /// Do not call while workers are running (engines are not locked).
+  /// Direct access to a shard's engine (the EIA half), for tests and
+  /// post-run inspection. Do not call while workers are running (engines
+  /// are not locked).
   [[nodiscard]] const core::InFilterEngine& shard_engine(std::size_t shard) const;
-  /// The shared engine completing every suspect flow (scan -> NNS ->
-  /// alert), or null when the stage is inactive (kBasic mode, or scan
-  /// analysis disabled -- per-shard engines then run the whole pipeline,
-  /// which is already serial-exact). Same access rules as shard_engine():
-  /// inspect only after flush().
-  [[nodiscard]] const core::InFilterEngine* scan_stage_engine() const {
-    return scan_engine_.get();
+  /// The shared engine completing every suspect flow: its scan buffer,
+  /// trained clusters and alert numbering. Same access rules as
+  /// shard_engine(): inspect only after flush().
+  [[nodiscard]] const core::InFilterEngine& scan_engine() const {
+    return scan_engine_;
   }
 
   /// One registry view: the runtime's own metrics merged with the shard
-  /// engines' -- and, when active, the scan-stage engine's -- registries
+  /// engines' and the scan engine's registries
   /// (obs::merge_snapshots). Takes the submit gate exclusively, so it is
   /// safe while producers are live (their submits stall for the
   /// duration). The runtime's own metrics (atomic counters/histograms,
@@ -295,9 +301,9 @@ class ShardedRuntime {
   /// in only while that engine is quiescent (every dispatched flow, and
   /// every forwarded suspect, processed). Call flush() first for a
   /// complete, exact view; a mid-stream snapshot silently omits busy
-  /// engines. With the scan stage active, the split engine halves divide
-  /// the pipeline counters so the merged totals still equal a serial
-  /// engine's (core/engine.h).
+  /// engines. The split engine halves divide the pipeline counters, and
+  /// only the scan engine holds the shared NNS state, so the merged
+  /// totals equal a serial engine's (core/engine.h).
   [[nodiscard]] obs::RegistrySnapshot snapshot() const;
 
   // -- Lifecycle operations (src/lifecycle) --
@@ -321,8 +327,9 @@ class ShardedRuntime {
   /// every shard engine after a full flush, against flow-carried virtual
   /// time `now`. Verdict-neutral by construction -- the sweep applies the
   /// same lazy idle predicate every later lookup would -- so this only
-  /// reclaims memory and updates the lifecycle counters eagerly. Returns
-  /// the number of entries expired across all shards.
+  /// removes idle membership eagerly and updates the lifecycle counters;
+  /// the per-key age tombstones stay. Returns the number of entries
+  /// expired across all shards.
   std::size_t age_sweep(util::TimeMs now);
 
  private:
@@ -363,7 +370,7 @@ class ShardedRuntime {
     /// One ring per producer slot; the worker merges them in tag order.
     std::vector<std::unique_ptr<SpscRing<FlowItem>>> rings;
     std::unique_ptr<core::InFilterEngine> engine;
-    /// Worker -> scan stage, only when the scan stage is active.
+    /// Worker -> scan stage.
     std::unique_ptr<SpscRing<SeqSuspect>> suspect_ring;
     std::thread worker;
     /// Shard index, for trace-lane naming and cpu-slot assignment.
@@ -400,6 +407,9 @@ class ShardedRuntime {
     }
   };
 
+  /// One shard with fresh rings and an EIA-half engine (no sink, no
+  /// clusters); the constructor and resize() both build shards here.
+  std::unique_ptr<Shard> make_shard(int index);
   void worker_main(Shard& shard);
   void scan_main();
   /// One merge pass: fills `batch` with up to max_batch flows in tag
@@ -418,20 +428,16 @@ class ShardedRuntime {
                                            std::span<const FlowItem> items);
   void note_occupancy(Shard& shard);
   void flush_locked();
-  /// Stops and joins the workers and (if active) the scan thread. Caller
+  /// Stops and joins the workers and the scan thread. Caller
   /// holds the gate and has flushed; shards_ stay intact for harvesting.
   void join_threads_locked();
-  /// Spawns one worker per shard plus the scan thread (if active), after
-  /// resetting the stop flags. Mirrors the constructor's thread start.
+  /// Spawns one worker per shard plus the scan thread, after resetting
+  /// the stop flags.
   void start_threads_locked();
   void wake(Shard& shard);
   void wake_scan();
 
   RuntimeConfig config_;
-  alert::SerializingSink sink_;
-  /// Whether the shard engines were built with &sink_ (the constructor's
-  /// `sink` parameter was non-null); resize() rebuilds them identically.
-  bool engine_sink_ = false;
   VerdictHook hook_;
   obs::Tracer* tracer_ = nullptr;  ///< config_.tracer; may be null
   std::vector<std::unique_ptr<ProducerSlot>> producers_;
@@ -446,12 +452,12 @@ class ShardedRuntime {
   /// quiescence checks a stable frontier.
   mutable std::shared_mutex submit_gate_;
 
-  // -- Shared scan stage (active iff kEnhanced && use_scan_analysis) --
+  // -- Shared scan stage --
 
   /// The one engine whose scan buffer sees every suspect, in dispatch
-  /// order. Its EIA table is unused (pre-EIA context rides along in
-  /// SuspectFlow); null when the stage is inactive.
-  std::unique_ptr<core::InFilterEngine> scan_engine_;
+  /// order, and the only one with clusters and a sink. Its EIA table is
+  /// unused (pre-EIA context rides along in SuspectFlow).
+  core::InFilterEngine scan_engine_;
   std::thread scan_thread_;
   /// The shared claim counter: the last tag handed out. Producers claim
   /// ranges with a seq_cst fetch_add (one RMW per submit call); the merge

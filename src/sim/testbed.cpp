@@ -343,7 +343,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
 
   if (config.runtime_shards > 0) {
     // Concurrent replay: N shard engines behind bounded rings. Scoring
-    // happens on the worker threads, joined to ground truth through the
+    // happens on the runtime's threads, joined to ground truth through the
     // FlowItem tag (a stream index) under one mutex -- the engines stay
     // lock-free, only the accounting serializes.
     runtime::RuntimeConfig runtime_config;
@@ -357,13 +357,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
           std::lock_guard lock(score_mutex);
           scorer.score(stream.flows[item.tag], verdict);
         });
-    for (int s = 0; s < config.sources; ++s) {
-      const auto port = static_cast<core::IngressId>(config.first_port + s);
-      const auto range = dagflow::eia_range(s, config.blocks_per_source);
-      for (int b = range.first.index(); b <= range.last.index(); ++b) {
-        runtime.add_expected(port, net::SubBlock{b}.prefix());
-      }
-    }
+    preload_eia(config, runtime);
     if (needs_clusters) runtime.set_clusters(clusters);
     constexpr std::size_t kSubmitBatch = 256;
     std::vector<runtime::FlowItem> batch;
@@ -389,13 +383,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
   obs::Registry registry;
   if (engine_config.registry == nullptr) engine_config.registry = &registry;
   core::InFilterEngine engine(engine_config);
-  for (int s = 0; s < config.sources; ++s) {
-    const auto port = static_cast<core::IngressId>(config.first_port + s);
-    const auto range = dagflow::eia_range(s, config.blocks_per_source);
-    for (int b = range.first.index(); b <= range.last.index(); ++b) {
-      engine.add_expected(port, net::SubBlock{b}.prefix());
-    }
-  }
+  preload_eia(config, engine);
   if (needs_clusters) engine.set_clusters(clusters);
 
   // Replay through the batch hot path in fixed-size chunks (verdicts are

@@ -198,6 +198,19 @@ struct TestbedStream {
 /// run_experiment replays, also consumed directly by bench/throughput.
 [[nodiscard]] TestbedStream generate_stream(const ExperimentConfig& config);
 
+/// Preloads every source's expected-ingress range into an engine or a
+/// runtime (anything with add_expected), as both replay paths do.
+template <typename Target>
+void preload_eia(const ExperimentConfig& config, Target& target) {
+  for (int s = 0; s < config.sources; ++s) {
+    const auto port = static_cast<core::IngressId>(config.first_port + s);
+    const auto range = dagflow::eia_range(s, config.blocks_per_source);
+    for (int b = range.first.index(); b <= range.last.index(); ++b) {
+      target.add_expected(port, net::SubBlock{b}.prefix());
+    }
+  }
+}
+
 /// Ground-truth accounting shared by the serial and runtime replay paths,
 /// and reused wave-by-wave by the lifecycle soak harness (sim/soak.h).
 /// Every reduction is order-independent (counts and min-aggregations), so

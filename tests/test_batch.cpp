@@ -13,6 +13,7 @@
 
 #include "core/engine.h"
 #include "runtime/runtime.h"
+#include "runtime_fixtures.h"
 #include "sim/testbed.h"
 
 namespace infilter {
@@ -20,6 +21,7 @@ namespace {
 
 using core::InFilterEngine;
 using core::TrainedClusters;
+using fixtures::expect_same_alerts;
 
 sim::ExperimentConfig workload_config() {
   sim::ExperimentConfig config;
@@ -37,16 +39,6 @@ core::EngineConfig workload_engine_config(const sim::ExperimentConfig& config) {
   return engine;
 }
 
-void preload_eia(InFilterEngine& engine, const sim::ExperimentConfig& config) {
-  for (int s = 0; s < config.sources; ++s) {
-    const auto port = static_cast<core::IngressId>(config.first_port + s);
-    const auto range = dagflow::eia_range(s, config.blocks_per_source);
-    for (int b = range.first.index(); b <= range.last.index(); ++b) {
-      engine.add_expected(port, net::SubBlock{b}.prefix());
-    }
-  }
-}
-
 void expect_same_verdict(const core::Verdict& a, const core::Verdict& b,
                          std::size_t flow) {
   EXPECT_EQ(a.attack, b.attack) << "flow " << flow;
@@ -58,23 +50,6 @@ void expect_same_verdict(const core::Verdict& a, const core::Verdict& b,
     EXPECT_EQ(a.nns->cluster, b.nns->cluster) << "flow " << flow;
     EXPECT_EQ(a.nns->distance, b.nns->distance) << "flow " << flow;
     EXPECT_EQ(a.nns->threshold, b.nns->threshold) << "flow " << flow;
-  }
-}
-
-void expect_same_alerts(const std::vector<alert::Alert>& a,
-                        const std::vector<alert::Alert>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].id, b[i].id) << "alert " << i;
-    EXPECT_EQ(a[i].create_time, b[i].create_time) << "alert " << i;
-    EXPECT_EQ(a[i].stage, b[i].stage) << "alert " << i;
-    EXPECT_EQ(a[i].source_ip, b[i].source_ip) << "alert " << i;
-    EXPECT_EQ(a[i].target_ip, b[i].target_ip) << "alert " << i;
-    EXPECT_EQ(a[i].target_port, b[i].target_port) << "alert " << i;
-    EXPECT_EQ(a[i].ingress_port, b[i].ingress_port) << "alert " << i;
-    EXPECT_EQ(a[i].expected_ingress, b[i].expected_ingress) << "alert " << i;
-    EXPECT_EQ(a[i].nns_distance, b[i].nns_distance) << "alert " << i;
-    EXPECT_EQ(a[i].nns_threshold, b[i].nns_threshold) << "alert " << i;
   }
 }
 
@@ -90,7 +65,7 @@ TEST(BatchGolden, TestbedWorkloadMatchesPerFlowBitForBit) {
   // Reference: the per-flow path.
   alert::CollectingSink serial_sink;
   InFilterEngine serial(workload_engine_config(config), &serial_sink);
-  preload_eia(serial, config);
+  sim::preload_eia(config, serial);
   serial.set_clusters(clusters);
   std::vector<core::Verdict> reference;
   reference.reserve(stream.flows.size());
@@ -104,7 +79,7 @@ TEST(BatchGolden, TestbedWorkloadMatchesPerFlowBitForBit) {
     SCOPED_TRACE(batch_size);
     alert::CollectingSink batch_sink;
     InFilterEngine batched(workload_engine_config(config), &batch_sink);
-    preload_eia(batched, config);
+    sim::preload_eia(config, batched);
     batched.set_clusters(clusters);
 
     std::vector<core::FlowInput> inputs(batch_size);
@@ -138,14 +113,14 @@ TEST(BatchGolden, MetricsTotalsMatchPerFlow) {
   const auto clusters = sim::train_clusters(config);
 
   InFilterEngine serial(workload_engine_config(config));
-  preload_eia(serial, config);
+  sim::preload_eia(config, serial);
   serial.set_clusters(clusters);
   for (const auto& flow : stream.flows) {
     (void)serial.process(flow.record, flow.arrival_port, flow.record.last);
   }
 
   InFilterEngine batched(workload_engine_config(config));
-  preload_eia(batched, config);
+  sim::preload_eia(config, batched);
   batched.set_clusters(clusters);
   constexpr std::size_t kBatch = 64;
   std::vector<core::FlowInput> inputs(kBatch);
@@ -193,7 +168,7 @@ TEST(BatchRuntime, OddMaxBatchMatchesSerialVerdicts) {
   const auto clusters = sim::train_clusters(config);
 
   InFilterEngine serial(workload_engine_config(config));
-  preload_eia(serial, config);
+  sim::preload_eia(config, serial);
   serial.set_clusters(clusters);
   std::vector<core::Verdict> reference;
   reference.reserve(stream.flows.size());
@@ -212,23 +187,11 @@ TEST(BatchRuntime, OddMaxBatchMatchesSerialVerdicts) {
       runtime_config, nullptr,
       [&](const runtime::FlowItem& item, const core::Verdict& verdict) {
         hooked.fetch_add(1, std::memory_order_relaxed);
-        const core::Verdict& expected = reference[item.tag];
-        const bool same =
-            expected.attack == verdict.attack && expected.stage == verdict.stage &&
-            expected.suspect == verdict.suspect &&
-            expected.nns.has_value() == verdict.nns.has_value() &&
-            (!expected.nns.has_value() ||
-             (expected.nns->distance == verdict.nns->distance &&
-              expected.nns->anomalous == verdict.nns->anomalous));
-        if (!same) mismatches.fetch_add(1, std::memory_order_relaxed);
+        if (!fixtures::same_verdict(reference[item.tag], verdict)) {
+          mismatches.fetch_add(1, std::memory_order_relaxed);
+        }
       });
-  for (int s = 0; s < config.sources; ++s) {
-    const auto port = static_cast<core::IngressId>(config.first_port + s);
-    const auto range = dagflow::eia_range(s, config.blocks_per_source);
-    for (int b = range.first.index(); b <= range.last.index(); ++b) {
-      runtime.add_expected(port, net::SubBlock{b}.prefix());
-    }
-  }
+  sim::preload_eia(config, runtime);
   runtime.set_clusters(clusters);
   std::vector<runtime::FlowItem> items;
   for (std::size_t i = 0; i < stream.flows.size(); ++i) {

@@ -69,6 +69,11 @@ TEST(EiaBackendParse, Rejections) {
   EXPECT_FALSE(parse_eia_backend("bloom:65536,4,1,100").has_value());  // aging wants R>=2
   EXPECT_FALSE(parse_eia_backend("bloom:65536,4,2,100,9").has_value());
   EXPECT_FALSE(parse_eia_backend("bloom:banana").has_value());
+  // The budget cap (kMaxEiaBackendBits = 2^30): parsing allocates nothing,
+  // so the boundary itself is cheap to pin.
+  EXPECT_TRUE(parse_eia_backend("bloom:1073741824").has_value());
+  EXPECT_FALSE(parse_eia_backend("bloom:1073741825").has_value());
+  EXPECT_FALSE(parse_eia_backend("cbloom:40911111116").has_value());
 }
 
 // The CLIs' preload-time saturation warning keys off this estimate: it

@@ -299,5 +299,27 @@ TEST(EiaIo, RejectsMalformedBackendState) {
       import_eia("backend bloom bits=65536\nfilter 0\nbytes 0 01\n").has_value());
 }
 
+// A hostile dump must fail to import, not abort the process: a budget
+// above kMaxEiaBackendBits is refused before anything is allocated.
+TEST(EiaIo, RejectsBackendBudgetsAboveTheCap) {
+  const auto hostile = import_eia(
+      "backend cbloom bits=40911111116 k=4 subfilters=1 rotate=0 per_ingress=0 "
+      "seed=1 inserts=0 rotations=0\n"
+      "ingress 9001\n");
+  ASSERT_FALSE(hostile.has_value());
+  EXPECT_NE(hostile.error().message.find("cap"), std::string::npos);
+  EXPECT_FALSE(import_eia("backend bloom bits=1073741825\n").has_value());
+  // Per-ingress filters count against the same cap: one 2^29+1-bit filter
+  // fits, a second would cross 2^30 and is refused before it is allocated.
+  const std::string per_ingress =
+      "backend bloom bits=536870913 per_ingress=1\ningress 9001\n";
+  EXPECT_TRUE(import_eia(per_ingress).has_value());
+  const auto two = import_eia(per_ingress + "ingress 9002\n");
+  ASSERT_FALSE(two.has_value());
+  EXPECT_NE(two.error().message.find("cap"), std::string::npos);
+  // Re-opening a declared ingress allocates nothing new.
+  EXPECT_TRUE(import_eia(per_ingress + "ingress 9001\n").has_value());
+}
+
 }  // namespace
 }  // namespace infilter::core

@@ -16,6 +16,7 @@
 
 #include "dagflow/dagflow.h"
 #include "flowtools/udp.h"
+#include "runtime_fixtures.h"
 #include "traffic/attacks.h"
 #include "traffic/normal.h"
 
@@ -24,17 +25,7 @@ namespace {
 
 using namespace std::chrono_literals;
 
-std::vector<netflow::V5Record> training_records(std::uint64_t seed) {
-  traffic::NormalTrafficModel model;
-  util::Rng rng{seed};
-  const auto trace = model.generate(600, 0, rng);
-  dagflow::Dagflow replayer(
-      dagflow::DagflowConfig{},
-      dagflow::AddressPool::from_subblocks({*net::SubBlock::parse("1a")}), seed);
-  std::vector<netflow::V5Record> records;
-  for (const auto& labeled : replayer.replay(trace)) records.push_back(labeled.record);
-  return records;
-}
+using fixtures::training_records;
 
 /// Normal traffic from source 0's own Table 3 blocks followed by a spoofed
 /// Slammer sweep, exported as v5 datagrams -- a stream exercising every

@@ -10,9 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,11 +20,14 @@
 #include "core/eia.h"
 #include "core/eia_io.h"
 #include "runtime/runtime.h"
+#include "runtime_fixtures.h"
 #include "sim/soak.h"
 #include "sim/testbed.h"
 
 namespace infilter {
 namespace {
+
+using namespace fixtures;
 
 net::Prefix prefix(const char* text) { return *net::Prefix::parse(text); }
 
@@ -272,40 +275,11 @@ TEST(EiaIoLifecycle, DirectiveAfterStateLinesIsRejected) {
 
 // -- Verdict neutrality at the engine level --
 
-void expect_same_result(const sim::ExperimentResult& x,
-                        const sim::ExperimentResult& y) {
-  EXPECT_EQ(x.attack_instances, y.attack_instances);
-  EXPECT_EQ(x.detected_instances, y.detected_instances);
-  EXPECT_EQ(x.attack_flows, y.attack_flows);
-  EXPECT_EQ(x.detected_attack_flows, y.detected_attack_flows);
-  EXPECT_EQ(x.benign_flows, y.benign_flows);
-  EXPECT_EQ(x.false_positives, y.false_positives);
-  EXPECT_EQ(x.benign_suspects, y.benign_suspects);
-  EXPECT_EQ(x.alerts_eia, y.alerts_eia);
-  EXPECT_EQ(x.alerts_scan, y.alerts_scan);
-  EXPECT_EQ(x.alerts_nns, y.alerts_nns);
-  EXPECT_EQ(x.alerts_fused, y.alerts_fused);
-  EXPECT_DOUBLE_EQ(x.mean_detection_latency_ms, y.mean_detection_latency_ms);
-  for (std::size_t k = 0; k < x.per_kind.size(); ++k) {
-    EXPECT_EQ(x.per_kind[k], y.per_kind[k]) << "attack kind " << k;
-  }
-}
-
-sim::ExperimentConfig small_config() {
-  sim::ExperimentConfig config;
-  config.normal_flows_per_source = 600;
-  config.training_flows = 300;
-  config.attack_volume = 0.04;
-  config.engine.cluster.bits_per_feature = 48;
-  config.seed = 77;
-  return config;
-}
-
 // Aging enabled but never firing (max_idle beyond the horizon) must be
 // bit-identical to aging off: the metadata bookkeeping (stamps, refreshes,
 // tombstone checks) is pure observation, never a verdict input.
 TEST(LifecycleEngine, AgingWithNoExpiryIsBitIdenticalToAgingOff) {
-  const auto config = small_config();
+  const auto config = small_testbed_config();
   const auto baseline = sim::run_experiment(config);
   auto aged = config;
   aged.engine.eia.lifecycle.max_idle_ms = 365 * util::kDay;
@@ -314,46 +288,17 @@ TEST(LifecycleEngine, AgingWithNoExpiryIsBitIdenticalToAgingOff) {
 
 // -- Live resize: bit-consistency across the boundary --
 
-void expect_same_alert(const alert::Alert& x, const alert::Alert& y) {
-  EXPECT_EQ(x.id, y.id);
-  EXPECT_EQ(x.create_time, y.create_time);
-  EXPECT_EQ(x.stage, y.stage);
-  EXPECT_EQ(x.source_ip.value(), y.source_ip.value());
-  EXPECT_EQ(x.target_ip.value(), y.target_ip.value());
-  EXPECT_EQ(x.target_port, y.target_port);
-  EXPECT_EQ(x.proto, y.proto);
-  EXPECT_EQ(x.ingress_port, y.ingress_port);
-  EXPECT_EQ(x.expected_ingress, y.expected_ingress);
-  EXPECT_EQ(x.nns_distance, y.nns_distance);
-  EXPECT_EQ(x.nns_threshold, y.nns_threshold);
-  EXPECT_DOUBLE_EQ(x.detection_latency_ms, y.detection_latency_ms);
-  EXPECT_EQ(x.classification, y.classification);
-}
-
 // The tentpole acceptance sweep: at every (shard count, producer count),
 // a grow resize at ~1/3 and a shrink back at ~2/3 of the stream -- fired
 // from the control thread while producers are live -- must leave the
-// alert stream and scan stats bit-identical to a fresh serial engine
+// verdicts, alert stream and scan stats bit-identical to a fresh serial engine
 // replaying the realized dispatch order. Aging is ON with a horizon that
 // fires mid-stream, so expiry/relearn state rides the migration too.
 TEST(LifecycleResize, MidStreamResizeSweepReplaysIdenticalAlertStream) {
-  auto config = small_config();
+  auto config = small_testbed_config();
   config.engine.eia.lifecycle.max_idle_ms = 2000;
-  const auto stream = sim::generate_stream(config);
-  const auto clusters = sim::train_clusters(config);
-  core::EngineConfig engine_config = config.engine;
-  engine_config.seed = config.seed;
-  const auto n = stream.flows.size();
-
-  const auto preload = [&](auto& target) {
-    for (int s = 0; s < config.sources; ++s) {
-      const auto port = static_cast<core::IngressId>(config.first_port + s);
-      const auto range = dagflow::eia_range(s, config.blocks_per_source);
-      for (int b = range.first.index(); b <= range.last.index(); ++b) {
-        target.add_expected(port, net::SubBlock{b}.prefix());
-      }
-    }
-  };
+  const ReplayFixture fx(config);
+  const auto n = fx.stream.flows.size();
 
   for (const int shards : {1, 2, 4, 8}) {
     for (const int producers : {1, 2, 4}) {
@@ -361,104 +306,33 @@ TEST(LifecycleResize, MidStreamResizeSweepReplaysIdenticalAlertStream) {
                    " producers=" + std::to_string(producers));
       runtime::RuntimeConfig rc;
       rc.shards = shards;
-      rc.producers = producers;
-      rc.engine = engine_config;
-      std::vector<std::uint64_t> seq_of(n, 0);  // one writer per tag
-      alert::CollectingSink sharded_sink;
-      runtime::ShardedRuntime rt(
-          rc, &sharded_sink,
-          [&](const runtime::FlowItem& item, const core::Verdict&) {
-            seq_of[item.tag] = item.seq;
-          });
-      rt.set_clusters(clusters);
-      preload(rt);
-      std::atomic<int> live{producers};
-      std::vector<std::thread> threads;
-      for (int p = 0; p < producers; ++p) {
-        threads.emplace_back([&, p] {
-          std::vector<runtime::FlowItem> batch;
-          for (std::size_t i = static_cast<std::size_t>(p); i < n;
-               i += static_cast<std::size_t>(producers)) {
-            const auto& flow = stream.flows[i];
-            batch.push_back(
-                runtime::FlowItem{flow.record, flow.arrival_port,
-                                  static_cast<util::TimeMs>(flow.record.last), i});
-            if (batch.size() == 128) {
-              rt.submit_batch(batch, p);
-              batch.clear();
-            }
-          }
-          if (!batch.empty()) rt.submit_batch(batch, p);
-          live.fetch_sub(1);
-        });
-      }
+      ReplayOptions options;
       // Grow, then shrink back, from the control thread mid-stream. The
       // exact trigger point is irrelevant to the property -- any boundary
       // must be invisible in the replayed stream.
-      const auto wait_processed = [&](std::uint64_t target) {
-        while (rt.stats().processed < target && live.load() > 0) {
-          std::this_thread::yield();
-        }
+      options.during = [&](runtime::ShardedRuntime& rt, const std::atomic<int>& live) {
+        const auto wait_processed = [&](std::uint64_t target) {
+          while (rt.stats().processed < target && live.load() > 0) {
+            std::this_thread::yield();
+          }
+        };
+        wait_processed(n / 3);
+        EXPECT_TRUE(rt.resize(shards * 2));
+        wait_processed(2 * n / 3);
+        EXPECT_TRUE(rt.resize(std::max(1, shards / 2)));
       };
-      wait_processed(n / 3);
-      EXPECT_TRUE(rt.resize(shards * 2));
-      wait_processed(2 * n / 3);
-      EXPECT_TRUE(rt.resize(std::max(1, shards / 2)));
-      for (auto& t : threads) t.join();
-      rt.flush();
-      EXPECT_EQ(rt.shard_count(), static_cast<std::size_t>(std::max(1, shards / 2)));
-
-      // Replay the realized total order through a fresh serial engine.
-      std::vector<std::size_t> order(n);
-      std::iota(order.begin(), order.end(), std::size_t{0});
-      std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-        return seq_of[a] < seq_of[b];
-      });
-      alert::CollectingSink replay_sink;
-      core::InFilterEngine replay(engine_config, &replay_sink);
-      replay.set_clusters(clusters);
-      preload(replay);
-      for (const auto i : order) {
-        const auto& flow = stream.flows[i];
-        (void)replay.process(flow.record, flow.arrival_port, flow.record.last);
-      }
-
-      ASSERT_GT(replay_sink.alerts().size(), 0u);
-      ASSERT_EQ(sharded_sink.alerts().size(), replay_sink.alerts().size());
-      for (std::size_t i = 0; i < replay_sink.alerts().size(); ++i) {
-        SCOPED_TRACE("alert " + std::to_string(i));
-        expect_same_alert(sharded_sink.alerts()[i], replay_sink.alerts()[i]);
-      }
-      if (rt.scan_stage_engine() != nullptr) {
-        const auto& replay_scan = replay.scan().stats();
-        const auto& sharded_scan = rt.scan_stage_engine()->scan().stats();
-        EXPECT_EQ(sharded_scan.observed, replay_scan.observed);
-        EXPECT_EQ(sharded_scan.network_scans, replay_scan.network_scans);
-        EXPECT_EQ(sharded_scan.host_scans, replay_scan.host_scans);
-        EXPECT_EQ(sharded_scan.evictions, replay_scan.evictions);
-      }
-      const auto snap = rt.snapshot();
-      EXPECT_DOUBLE_EQ(snap.value("infilter_lifecycle_resizes_total"), 2.0);
-      // Resize-retired engine history stays in the merged view: every
-      // flow is still accounted for after two pool replacements.
-      EXPECT_DOUBLE_EQ(snap.value("infilter_flows_total"),
-                       static_cast<double>(n));
+      options.after = [&](runtime::ShardedRuntime& rt) {
+        EXPECT_EQ(rt.shard_count(), static_cast<std::size_t>(std::max(1, shards / 2)));
+        const auto snap = rt.snapshot();
+        EXPECT_DOUBLE_EQ(snap.value("infilter_lifecycle_resizes_total"), 2.0);
+        // Resize-retired engine history stays in the merged view: every
+        // flow is still accounted for after two pool replacements.
+        EXPECT_DOUBLE_EQ(snap.value("infilter_flows_total"), static_cast<double>(n));
+      };
+      expect_realized_order_replays(fx, rc, round_robin_plans(n, producers), 128,
+                                    options);
     }
   }
-}
-
-netflow::V5Record simple_flow(std::uint32_t salt) {
-  netflow::V5Record r;
-  r.src_ip = net::IPv4Address{(10u << 24) | (salt << 8)};
-  r.dst_ip = addr("100.64.0.1");
-  r.proto = 6;
-  r.src_port = 40000;
-  r.dst_port = 80;
-  r.packets = 10;
-  r.bytes = 5000;
-  r.first = salt;
-  r.last = salt + 10;
-  return r;
 }
 
 // The race lane: resize(), flush(), and snapshot() hammered from the
@@ -478,23 +352,7 @@ TEST(LifecycleResize, ResizeFlushSnapshotRaceProducersSafely) {
   config.engine.eia.lifecycle.max_idle_ms = 50;  // churn mid-run too
   runtime::ShardedRuntime rt(config);
   std::atomic<int> live{kProducers};
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&, p] {
-      std::vector<runtime::FlowItem> batch;
-      for (std::uint64_t i = 0; i < kPerProducer; ++i) {
-        batch.push_back(
-            runtime::FlowItem{simple_flow(static_cast<std::uint32_t>(i)), 9001,
-                              static_cast<util::TimeMs>(i)});
-        if (batch.size() == 16) {
-          rt.submit_batch(batch, p);
-          batch.clear();
-        }
-      }
-      if (!batch.empty()) rt.submit_batch(batch, p);
-      live.fetch_sub(1);
-    });
-  }
+  auto producers = start_producers(rt, kProducers, kPerProducer, live);
   const int sizes[] = {3, 1, 4, 2};
   std::size_t next_size = 0;
   while (live.load() > 0) {
@@ -538,7 +396,7 @@ TEST(LifecycleResize, RejectsInvalidAndPostShutdownRequests) {
 // asserted exactly, not within a tolerance.
 TEST(LifecycleSoak, ResizedRunMatchesStaticPoolQuality) {
   sim::SoakConfig soak;
-  soak.base = small_config();
+  soak.base = small_testbed_config();
   soak.base.normal_flows_per_source = 400;
   soak.base.runtime_shards = 2;
   soak.base.runtime_queue_depth = 512;
@@ -584,7 +442,7 @@ TEST(LifecycleSoak, ResizedRunMatchesStaticPoolQuality) {
 // versus purely lazy expiry yields the same quality trajectory.
 TEST(LifecycleSoak, EagerSweepIsVerdictNeutral) {
   sim::SoakConfig soak;
-  soak.base = small_config();
+  soak.base = small_testbed_config();
   soak.base.normal_flows_per_source = 400;
   soak.base.runtime_shards = 2;
   soak.base.route_change_blocks = 8;

@@ -9,23 +9,14 @@
 #include "dagflow/dagflow.h"
 #include "flowtools/udp.h"
 #include "netflow/v5.h"
+#include "runtime_fixtures.h"
 #include "traffic/attacks.h"
 #include "traffic/normal.h"
 
 namespace infilter::app {
 namespace {
 
-std::vector<netflow::V5Record> training_records(std::uint64_t seed) {
-  traffic::NormalTrafficModel model;
-  util::Rng rng{seed};
-  const auto trace = model.generate(600, 0, rng);
-  dagflow::Dagflow replayer(
-      dagflow::DagflowConfig{},
-      dagflow::AddressPool::from_subblocks({*net::SubBlock::parse("1a")}), seed);
-  std::vector<netflow::V5Record> records;
-  for (const auto& labeled : replayer.replay(trace)) records.push_back(labeled.record);
-  return records;
-}
+using fixtures::training_records;
 
 NodeConfig test_config(std::vector<std::uint16_t> ports) {
   NodeConfig config;

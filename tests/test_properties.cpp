@@ -8,8 +8,10 @@
 #include <unordered_map>
 
 #include "core/eia.h"
+#include "core/eia_io.h"
 #include "core/scan.h"
 #include "dagflow/dagflow.h"
+#include "hopcount/hopcount_io.h"
 #include "netflow/flow_cache.h"
 #include "netflow/v5.h"
 #include "nns/encoding.h"
@@ -155,6 +157,86 @@ TEST_P(SeededProperty, DecodeRejectsAllTruncations) {
     EXPECT_FALSE(netflow::decode(truncated).has_value()) << "cut at " << cut;
   }
   EXPECT_TRUE(netflow::decode(wire).has_value());
+}
+
+// --- Persisted-state import fuzz --------------------------------------
+
+/// One to three single-byte edits (replace, insert, delete). They keep
+/// every numeric field within a digit or two of its original, so no
+/// accepted mutant asks for a large backend; the size cap itself is
+/// pinned by EiaIo.RejectsBackendBudgetsAboveTheCap.
+std::string mutate(std::string text, util::Rng& rng) {
+  static constexpr std::string_view kAlphabet =
+      "0123456789abcdefghijklmnopqrstuvwxyz ./=-#\t\n";
+  for (auto edits = rng.range(1, 3); edits > 0; --edits) {
+    const std::size_t at = rng.below(text.size());
+    const char c = rng.chance(0.2) ? static_cast<char>(rng())
+                                   : kAlphabet[rng.below(kAlphabet.size())];
+    const auto op = rng.below(3);
+    if (op == 0) text[at] = c;
+    else if (op == 1) text.insert(at, 1, c);
+    else text.erase(at, 1);
+  }
+  return text;
+}
+
+TEST_P(SeededProperty, ImportNeverCrashesOnMutatedDumps) {
+  util::Rng rng{GetParam() ^ 0xd00d};
+  const auto source = [](std::uint32_t i) { return net::IPv4Address{(10u << 24) | (i << 8)}; };
+  // Every dump format: exact with age metadata and a pending counter,
+  // counting-Bloom with rotation state, per-ingress Bloom; and hop-count.
+  std::vector<std::pair<std::string, core::EiaTableConfig>> eia;
+  for (const auto type : {core::EiaBackendType::kExact, core::EiaBackendType::kCountingBloom,
+                          core::EiaBackendType::kBloom}) {
+    core::EiaTableConfig config;
+    config.lifecycle.max_idle_ms = 60'000;
+    config.backend.type = type;
+    config.backend.bits = 1 << 16;
+    config.backend.subfilters = type == core::EiaBackendType::kCountingBloom ? 2 : 1;
+    config.backend.rotate_every = type == core::EiaBackendType::kCountingBloom ? 8 : 0;
+    config.backend.per_ingress = type == core::EiaBackendType::kBloom;
+    core::EiaTable table(config);
+    table.add_expected(9001, *net::Prefix::parse("10.1.0.0/16"));
+    table.declare_ingress(9003);
+    for (std::uint32_t i = 0; i < 12; ++i) {
+      for (std::uint32_t k = 0; k < (i == 11 ? 2 : 5); ++k) {
+        (void)table.observe_mismatch(static_cast<core::IngressId>(9001 + i % 3), source(i),
+                                     1000 * i + k);
+      }
+    }
+    eia.emplace_back(core::export_eia(table), config);
+  }
+  hopcount::HopCountTable hops;
+  for (std::uint32_t i = 0; i < 48; ++i) {
+    (void)hops.observe(static_cast<core::IngressId>(9001 + i % 2), source(i % 8),
+                       static_cast<std::uint8_t>(50 + i % 8), 100 * i);
+  }
+  const std::string hop_dump = hopcount::export_hopcount(hops);
+
+  // Whatever the edit, import fails cleanly or yields a table whose export
+  // is a fixed point of import.
+  int accepted = 0;
+  const auto fuzz = [&](const std::string& dump, const auto& import, const auto& render) {
+    const std::string mutant = mutate(dump, rng);
+    std::optional<decltype(import(mutant))> imported;
+    ASSERT_NO_THROW(imported.emplace(import(mutant))) << mutant;
+    if (!imported->has_value()) return;
+    ++accepted;
+    const std::string canonical = render(imported->value());
+    const auto again = import(canonical);
+    ASSERT_TRUE(again.has_value()) << again.error().message << "\n" << mutant;
+    EXPECT_EQ(render(*again), canonical) << mutant;
+  };
+  for (int trial = 0; trial < 600; ++trial) {
+    for (const auto& dump : eia) {
+      fuzz(dump.first,
+           [&](std::string_view text) { return core::import_eia(text, dump.second); },
+           [](const core::EiaTable& table) { return core::export_eia(table); });
+    }
+    fuzz(hop_dump, [](std::string_view text) { return hopcount::import_hopcount(text); },
+         [](const hopcount::HopCountTable& table) { return hopcount::export_hopcount(table); });
+  }
+  EXPECT_GT(accepted, 0);  // comment and whitespace edits parse
 }
 
 // --- Unary encoding: Hamming distance is an L1 metric ------------------

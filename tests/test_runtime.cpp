@@ -20,10 +20,13 @@
 #include "runtime/affinity.h"
 
 #include "obs/metrics.h"
+#include "runtime_fixtures.h"
 #include "sim/testbed.h"
 
 namespace infilter::runtime {
 namespace {
+
+using namespace fixtures;
 
 // -- SpscRing --
 
@@ -185,35 +188,6 @@ TEST(MergeSnapshots, BoundsMismatchKeepsFirstHistogramIntact) {
   EXPECT_EQ(lat->counts[1], 0u);
 }
 
-// -- SerializingSink --
-
-TEST(SerializingSink, RenumbersConcurrentAlertsDensely) {
-  alert::CollectingSink inner;
-  alert::SerializingSink sink(&inner);
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 250;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        alert::Alert a;
-        a.id = static_cast<std::uint64_t>(t);  // shard-local ids collide
-        sink.consume(a);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-
-  ASSERT_EQ(inner.alerts().size(),
-            static_cast<std::size_t>(kThreads * kPerThread));
-  EXPECT_EQ(sink.delivered(), static_cast<std::uint64_t>(kThreads * kPerThread));
-  std::set<std::uint64_t> ids;
-  for (const auto& a : inner.alerts()) ids.insert(a.id);
-  EXPECT_EQ(ids.size(), inner.alerts().size());  // no collisions
-  EXPECT_EQ(*ids.begin(), 1u);                   // dense from 1
-  EXPECT_EQ(*ids.rbegin(), static_cast<std::uint64_t>(kThreads * kPerThread));
-}
-
 // -- ShardedRuntime --
 
 sim::ExperimentConfig runtime_config() {
@@ -224,25 +198,6 @@ sim::ExperimentConfig runtime_config() {
   c.engine.cluster.bits_per_feature = 48;
   c.seed = 77;
   return c;
-}
-
-void expect_same_result(const sim::ExperimentResult& x,
-                        const sim::ExperimentResult& y) {
-  EXPECT_EQ(x.attack_instances, y.attack_instances);
-  EXPECT_EQ(x.detected_instances, y.detected_instances);
-  EXPECT_EQ(x.attack_flows, y.attack_flows);
-  EXPECT_EQ(x.detected_attack_flows, y.detected_attack_flows);
-  EXPECT_EQ(x.benign_flows, y.benign_flows);
-  EXPECT_EQ(x.false_positives, y.false_positives);
-  EXPECT_EQ(x.benign_suspects, y.benign_suspects);
-  EXPECT_EQ(x.alerts_eia, y.alerts_eia);
-  EXPECT_EQ(x.alerts_scan, y.alerts_scan);
-  EXPECT_EQ(x.alerts_nns, y.alerts_nns);
-  EXPECT_EQ(x.alerts_fused, y.alerts_fused);
-  EXPECT_DOUBLE_EQ(x.mean_detection_latency_ms, y.mean_detection_latency_ms);
-  for (std::size_t k = 0; k < x.per_kind.size(); ++k) {
-    EXPECT_EQ(x.per_kind[k], y.per_kind[k]) << "attack kind " << k;
-  }
 }
 
 TEST(ShardedRuntime, ShardOfIsStableAndCoversAllShards) {
@@ -273,18 +228,8 @@ TEST(ShardedRuntime, ScanOffShardedExactlyMatchesSerial) {
   EXPECT_DOUBLE_EQ(sharded.metrics.value("infilter_runtime_dropped_total"), 0.0);
 }
 
-// With one shard, dispatch order == ring order == processing order, so the
-// whole pipeline (scan analysis included) is exactly serial.
-TEST(ShardedRuntime, OneShardFullPipelineExactlyMatchesSerial) {
-  auto config = runtime_config();
-  const auto serial = run_experiment(config);
-  config.runtime_shards = 1;
-  const auto sharded = run_experiment(config);
-  expect_same_result(serial, sharded);
-}
-
 // The tentpole guarantee: with scan analysis ENABLED, every shard count
-// reproduces the serial engine's verdicts exactly. The destination-keyed
+// (one included) reproduces the serial engine's verdicts exactly. The destination-keyed
 // suspect buffer lives on the shared scan stage, which replays suspects
 // in global dispatch order, so worker interleaving is invisible.
 TEST(ShardedRuntime, ShardSweepFullPipelineExactlyMatchesSerial) {
@@ -381,22 +326,6 @@ TEST(ShardedRuntime, FullPipelineShardedIsSelfDeterministic) {
   expect_same_result(first, second);
 }
 
-void expect_same_alert(const alert::Alert& x, const alert::Alert& y) {
-  EXPECT_EQ(x.id, y.id);
-  EXPECT_EQ(x.create_time, y.create_time);
-  EXPECT_EQ(x.stage, y.stage);
-  EXPECT_EQ(x.source_ip.value(), y.source_ip.value());
-  EXPECT_EQ(x.target_ip.value(), y.target_ip.value());
-  EXPECT_EQ(x.target_port, y.target_port);
-  EXPECT_EQ(x.proto, y.proto);
-  EXPECT_EQ(x.ingress_port, y.ingress_port);
-  EXPECT_EQ(x.expected_ingress, y.expected_ingress);
-  EXPECT_EQ(x.nns_distance, y.nns_distance);
-  EXPECT_EQ(x.nns_threshold, y.nns_threshold);
-  EXPECT_DOUBLE_EQ(x.detection_latency_ms, y.detection_latency_ms);
-  EXPECT_EQ(x.classification, y.classification);
-}
-
 // Field-level exactness on the raw streams: the sharded runtime's alert
 // sequence (ids, contents, order) and the shared scan stage's internal
 // stats must be bit-identical to the serial engine's, not just equal in
@@ -411,15 +340,11 @@ TEST(ShardedRuntime, AlertStreamAndScanStatsBitIdenticalToSerial) {
   alert::CollectingSink serial_sink;
   core::InFilterEngine serial(engine_config, &serial_sink);
   serial.set_clusters(clusters);
-  for (int s = 0; s < config.sources; ++s) {
-    const auto port = static_cast<core::IngressId>(config.first_port + s);
-    const auto range = dagflow::eia_range(s, config.blocks_per_source);
-    for (int b = range.first.index(); b <= range.last.index(); ++b) {
-      serial.add_expected(port, net::SubBlock{b}.prefix());
-    }
-  }
+  sim::preload_eia(config, serial);
+  std::vector<FlowItem> items;
   for (const auto& flow : stream.flows) {
     (void)serial.process(flow.record, flow.arrival_port, flow.record.last);
+    items.push_back(FlowItem{flow.record, flow.arrival_port, flow.record.last});
   }
   ASSERT_GT(serial_sink.alerts().size(), 0u);
   ASSERT_GT(serial.scan().stats().network_scans + serial.scan().stats().host_scans,
@@ -433,35 +358,20 @@ TEST(ShardedRuntime, AlertStreamAndScanStatsBitIdenticalToSerial) {
     alert::CollectingSink sharded_sink;
     ShardedRuntime rt(runtime_config, &sharded_sink);
     rt.set_clusters(clusters);
-    for (int s = 0; s < config.sources; ++s) {
-      const auto port = static_cast<core::IngressId>(config.first_port + s);
-      const auto range = dagflow::eia_range(s, config.blocks_per_source);
-      for (int b = range.first.index(); b <= range.last.index(); ++b) {
-        rt.add_expected(port, net::SubBlock{b}.prefix());
-      }
-    }
-    std::vector<FlowItem> items;
-    for (const auto& flow : stream.flows) {
-      items.push_back(FlowItem{flow.record, flow.arrival_port, flow.record.last});
-    }
+    sim::preload_eia(config, rt);
     ASSERT_EQ(rt.submit_batch(items), items.size());
     rt.flush();
 
-    ASSERT_NE(rt.scan_stage_engine(), nullptr);
     const auto& serial_scan = serial.scan().stats();
-    const auto& sharded_scan = rt.scan_stage_engine()->scan().stats();
+    const auto& sharded_scan = rt.scan_engine().scan().stats();
     EXPECT_EQ(sharded_scan.observed, serial_scan.observed);
     EXPECT_EQ(sharded_scan.network_scans, serial_scan.network_scans);
     EXPECT_EQ(sharded_scan.host_scans, serial_scan.host_scans);
     EXPECT_EQ(sharded_scan.evictions, serial_scan.evictions);
-    EXPECT_EQ(rt.scan_stage_engine()->scan().buffered_flows(),
+    EXPECT_EQ(rt.scan_engine().scan().buffered_flows(),
               serial.scan().buffered_flows());
 
-    ASSERT_EQ(sharded_sink.alerts().size(), serial_sink.alerts().size());
-    for (std::size_t i = 0; i < serial_sink.alerts().size(); ++i) {
-      SCOPED_TRACE("alert " + std::to_string(i));
-      expect_same_alert(sharded_sink.alerts()[i], serial_sink.alerts()[i]);
-    }
+    expect_same_alerts(sharded_sink.alerts(), serial_sink.alerts());
 
     const auto merged = rt.snapshot();
     EXPECT_DOUBLE_EQ(merged.value("infilter_flows_total"),
@@ -483,27 +393,6 @@ TEST(ShardedRuntime, MergedSnapshotAccountsForEveryFlow) {
       result.metrics.value("infilter_runtime_submitted_total"),
       static_cast<double>(result.attack_flows + result.benign_flows));
   EXPECT_GT(result.metrics.value("infilter_runtime_batches_total"), 0.0);
-}
-
-/// One flow through producer 0 as a batch of one: true when accepted.
-bool submit_one(ShardedRuntime& rt, const netflow::V5Record& record,
-                core::IngressId ingress, util::TimeMs now, std::uint64_t tag = 0) {
-  const FlowItem item{record, ingress, now, tag};
-  return rt.submit_batch({&item, 1}) == 1;
-}
-
-netflow::V5Record simple_flow(std::uint32_t salt) {
-  netflow::V5Record r;
-  r.src_ip = net::IPv4Address{(10u << 24) | (salt << 8)};
-  r.dst_ip = *net::IPv4Address::parse("100.64.0.1");
-  r.proto = 6;
-  r.src_port = 40000;
-  r.dst_port = 80;
-  r.packets = 10;
-  r.bytes = 5000;
-  r.first = salt;
-  r.last = salt + 10;
-  return r;
 }
 
 // Mid-stream snapshots must not race worker engine state: runtime-level
@@ -638,7 +527,6 @@ TEST(ShardedRuntime, FlushCompletesEveryInFlightSuspect) {
                       hooks.fetch_add(1);
                       if (verdict.suspect) suspect_hooks.fetch_add(1);
                     });
-  ASSERT_NE(rt.scan_stage_engine(), nullptr);
   constexpr std::uint64_t kFlows = 3000;
   for (std::uint32_t i = 0; i < kFlows; ++i) {
     ASSERT_TRUE(submit_one(rt, simple_flow(i), 9001, i));  // no EIA entries: all miss
@@ -650,7 +538,7 @@ TEST(ShardedRuntime, FlushCompletesEveryInFlightSuspect) {
   EXPECT_EQ(stats.suspects_completed, kFlows);
   EXPECT_EQ(hooks.load(), kFlows);
   EXPECT_EQ(suspect_hooks.load(), kFlows);
-  EXPECT_EQ(rt.scan_stage_engine()->scan().stats().observed, kFlows);
+  EXPECT_EQ(rt.scan_engine().scan().stats().observed, kFlows);
   // The merged view reconciles: the EIA halves on the shards, the scan
   // half on the stage engine, no flow double-counted or lost.
   const auto merged = rt.snapshot();
@@ -693,8 +581,9 @@ TEST(ShardedRuntime, MergeKeepsSeqStrictlyMonotonePerShard) {
   config.queue_depth = 32;
   config.backpressure = BackpressurePolicy::kBlock;
   config.engine.mode = core::EngineMode::kBasic;
-  // kBasic keeps the scan stage inactive, so the hook fires on the owning
-  // worker thread only: one writer per shard log, no lock needed.
+  // Every flow is legal (the 0.0.0.0/0 preload below), so its verdict is
+  // final on the owning worker and the hook fires there: one writer per
+  // shard log, no lock needed, and each log is that worker's merge order.
   std::array<std::vector<std::uint64_t>, kShards> seq_log;
   std::array<std::vector<std::uint64_t>, kShards> tag_log;
   {
@@ -706,6 +595,7 @@ TEST(ShardedRuntime, MergeKeepsSeqStrictlyMonotonePerShard) {
                         tag_log[shard].push_back(item.tag);
                       });
     ASSERT_EQ(rt.producer_count(), static_cast<std::size_t>(kProducers));
+    rt.add_expected(9001, *net::Prefix::parse("0.0.0.0/0"));
     std::vector<std::thread> producers;
     for (int p = 0; p < kProducers; ++p) {
       producers.emplace_back([&, p] {
@@ -728,6 +618,7 @@ TEST(ShardedRuntime, MergeKeepsSeqStrictlyMonotonePerShard) {
     const auto stats = rt.stats();
     EXPECT_EQ(stats.processed, kPerProducer * kProducers);
     EXPECT_EQ(stats.dropped, 0u);
+    EXPECT_EQ(stats.suspects_forwarded, 0u);  // no hook ran on the scan thread
   }
 
   std::size_t total = 0;
@@ -757,139 +648,21 @@ TEST(ShardedRuntime, MergeKeepsSeqStrictlyMonotonePerShard) {
   }
 }
 
-// A small testbed stream with its trained clusters and EIA preload, for
-// the multi-producer replay checks below.
-struct ReplayFixture {
-  ReplayFixture() {
-    config = runtime_config();
-    config.normal_flows_per_source = 600;  // many combos below: keep each cheap
-    config.training_flows = 300;
-    stream = sim::generate_stream(config);
-    clusters = sim::train_clusters(config);
-    engine = config.engine;
-    engine.seed = config.seed;
-  }
-
-  /// Flow index k of an arbitrarily long run cycles through the stream.
-  [[nodiscard]] const dagflow::LabeledFlow& flow(std::size_t k) const {
-    return stream.flows[k % stream.flows.size()];
-  }
-
-  template <typename Target>
-  void preload(Target& target) const {
-    for (int s = 0; s < config.sources; ++s) {
-      const auto port = static_cast<core::IngressId>(config.first_port + s);
-      const auto range = dagflow::eia_range(s, config.blocks_per_source);
-      for (int b = range.first.index(); b <= range.last.index(); ++b) {
-        target.add_expected(port, net::SubBlock{b}.prefix());
-      }
-    }
-  }
-
-  sim::ExperimentConfig config;
-  sim::TestbedStream stream;
-  std::shared_ptr<const core::TrainedClusters> clusters;
-  core::EngineConfig engine;
-};
-
-/// Producer p submits the flow indices in plans[p] (tagged with the index)
-/// in `batch_size`-flow submit_batch calls from its own thread, and simply
-/// returns when done -- with `stagger`, producers p > 0 start only after
-/// producer 0 has returned. The realized dispatch order, read back through
-/// FlowItem::seq and replayed through a fresh serial engine, must yield
-/// the runtime's exact alert stream and scan stats.
-void expect_realized_order_replays(const ReplayFixture& fx, int shards,
-                                   std::size_t queue_depth,
-                                   const std::vector<std::vector<std::size_t>>& plans,
-                                   std::size_t batch_size, bool stagger = false) {
-  std::size_t total = 0;
-  for (const auto& plan : plans) total += plan.size();
-  RuntimeConfig rc;
-  rc.shards = shards;
-  rc.producers = static_cast<int>(plans.size());
-  rc.queue_depth = queue_depth;
-  rc.engine = fx.engine;
-  std::vector<std::uint64_t> seq_of(total, 0);  // one writer per tag: race-free
-  alert::CollectingSink sharded_sink;
-  ShardedRuntime rt(rc, &sharded_sink,
-                    [&](const FlowItem& item, const core::Verdict&) {
-                      seq_of[item.tag] = item.seq;
-                    });
-  rt.set_clusters(fx.clusters);
-  fx.preload(rt);
-  std::atomic<bool> first_done{false};
-  std::vector<std::thread> threads;
-  for (std::size_t p = 0; p < plans.size(); ++p) {
-    threads.emplace_back([&, p] {
-      while (stagger && p > 0 && !first_done.load()) std::this_thread::yield();
-      std::vector<FlowItem> batch;
-      for (const std::size_t k : plans[p]) {
-        const auto& flow = fx.flow(k);
-        batch.push_back(FlowItem{flow.record, flow.arrival_port,
-                                 static_cast<util::TimeMs>(flow.record.last), k});
-        if (batch.size() == batch_size) {
-          rt.submit_batch(batch, static_cast<int>(p));
-          batch.clear();
-        }
-      }
-      if (!batch.empty()) rt.submit_batch(batch, static_cast<int>(p));
-      if (p == 0) first_done.store(true);
-    });
-  }
-  for (auto& t : threads) t.join();
-  rt.flush();
-  EXPECT_EQ(rt.stats().processed, total);
-
-  // Replay the realized total order through a fresh serial engine.
-  std::vector<std::size_t> order(total);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return seq_of[a] < seq_of[b];
-  });
-  alert::CollectingSink replay_sink;
-  core::InFilterEngine replay(fx.engine, &replay_sink);
-  replay.set_clusters(fx.clusters);
-  fx.preload(replay);
-  for (const auto k : order) {
-    const auto& flow = fx.flow(k);
-    (void)replay.process(flow.record, flow.arrival_port, flow.record.last);
-  }
-
-  ASSERT_GT(replay_sink.alerts().size(), 0u);
-  ASSERT_EQ(sharded_sink.alerts().size(), replay_sink.alerts().size());
-  for (std::size_t i = 0; i < replay_sink.alerts().size(); ++i) {
-    SCOPED_TRACE("alert " + std::to_string(i));
-    expect_same_alert(sharded_sink.alerts()[i], replay_sink.alerts()[i]);
-  }
-  if (rt.scan_stage_engine() != nullptr) {
-    const auto& replay_scan = replay.scan().stats();
-    const auto& sharded_scan = rt.scan_stage_engine()->scan().stats();
-    EXPECT_EQ(sharded_scan.observed, replay_scan.observed);
-    EXPECT_EQ(sharded_scan.network_scans, replay_scan.network_scans);
-    EXPECT_EQ(sharded_scan.host_scans, replay_scan.host_scans);
-    EXPECT_EQ(sharded_scan.evictions, replay_scan.evictions);
-  }
-}
-
 // The tentpole equivalence guarantee, multi-producer form: for every
 // (shard count, producer count), the realized dispatch order replayed
-// through a fresh serial engine yields the sharded run's exact alert
-// stream and scan stats. With one producer the realized order is
+// through a fresh serial engine yields the sharded run's exact verdicts,
+// alert stream and scan stats. With one producer the realized order is
 // submission order, so this subsumes the single-dispatcher sweep above.
 TEST(ShardedRuntime, MultiProducerSweepReplaysIdenticalAlertStream) {
   const ReplayFixture fx;
-  const std::size_t n = fx.stream.flows.size();
   for (const int shards : {1, 2, 4, 8}) {
     for (const int producers : {1, 2, 4}) {
       SCOPED_TRACE("shards=" + std::to_string(shards) +
                    " producers=" + std::to_string(producers));
-      std::vector<std::vector<std::size_t>> plans(
-          static_cast<std::size_t>(producers));
-      for (std::size_t i = 0; i < n; ++i) {
-        plans[i % plans.size()].push_back(i);
-      }
-      expect_realized_order_replays(fx, shards, RuntimeConfig{}.queue_depth,
-                                    plans, 128);
+      RuntimeConfig rc;
+      rc.shards = shards;
+      expect_realized_order_replays(
+          fx, rc, round_robin_plans(fx.stream.flows.size(), producers), 128);
     }
   }
 }
@@ -907,7 +680,12 @@ TEST(ShardedRuntime, ProducerStopsEarlyWithoutBeacon) {
     for (std::size_t k = 0; k < kFirst + 64 * depth; ++k) {
       plans[k < kFirst ? 0 : 1].push_back(k);
     }
-    expect_realized_order_replays(fx, 2, depth, plans, 128, /*stagger=*/true);
+    RuntimeConfig rc;
+    rc.shards = 2;
+    rc.queue_depth = depth;
+    ReplayOptions staggered;
+    staggered.stagger = true;
+    expect_realized_order_replays(fx, rc, plans, 128, staggered);
   }
 }
 
@@ -926,7 +704,94 @@ TEST(ShardedRuntime, ClaimsLargerThanRingsDoNotDeadlock) {
     for (std::size_t k = 0; k < total; ++k) {
       plans[(k / kClaim) % plans.size()].push_back(k);
     }
-    expect_realized_order_replays(fx, 2, 16, plans, kClaim);
+    RuntimeConfig rc;
+    rc.shards = 2;
+    rc.queue_depth = 16;
+    expect_realized_order_replays(fx, rc, plans, kClaim);
+  }
+}
+
+// With scan analysis off and NNS on, a resize must keep the NNS stage
+// running: the trained clusters live on the scan engine, which a resize
+// keeps. Verdicts and alerts on both sides of a mid-stream resize(3) must
+// equal a serial engine's.
+TEST(ShardedRuntime, ScanOffNnsSurvivesResize) {
+  const ReplayFixture fx;
+  core::EngineConfig engine = fx.engine;
+  engine.use_scan_analysis = false;
+  const auto items = fx.items();
+  const std::size_t half = items.size() / 2;
+
+  alert::CollectingSink serial_sink;
+  core::InFilterEngine serial(engine, &serial_sink);
+  serial.set_clusters(fx.clusters);
+  sim::preload_eia(fx.config, serial);
+  std::vector<core::Verdict> expected;
+  for (const auto& item : items) {
+    expected.push_back(serial.process(item.record, item.ingress, item.now));
+  }
+  // The property needs NNS verdicts past the boundary.
+  ASSERT_TRUE(std::any_of(expected.begin() + static_cast<std::ptrdiff_t>(half),
+                          expected.end(),
+                          [](const core::Verdict& v) { return v.nns.has_value(); }));
+
+  RuntimeConfig rc;
+  rc.shards = 2;
+  rc.engine = engine;
+  std::vector<core::Verdict> verdicts(items.size());  // one writer per tag
+  alert::CollectingSink sharded_sink;
+  ShardedRuntime rt(rc, &sharded_sink,
+                    [&](const FlowItem& item, const core::Verdict& verdict) {
+                      verdicts[item.tag] = verdict;
+                    });
+  rt.set_clusters(fx.clusters);
+  sim::preload_eia(fx.config, rt);
+  const std::span<const FlowItem> all(items);
+  ASSERT_EQ(rt.submit_batch(all.first(half)), half);
+  ASSERT_TRUE(rt.resize(3));
+  ASSERT_EQ(rt.submit_batch(all.subspan(half)), items.size() - half);
+  rt.flush();
+  std::size_t mismatches = 0;
+  for (std::size_t k = 0; k < items.size(); ++k) {
+    mismatches += !same_verdict(verdicts[k], expected[k]);
+  }
+  EXPECT_EQ(mismatches, 0u);
+  expect_same_alerts(sharded_sink.alerts(), serial_sink.alerts());
+}
+
+// The one trained cluster set is shared state, so a merged snapshot must
+// report its counters once, whatever the shard count. Each run trains its own clusters: the query counters live
+// on the cluster object, and a shared one would mix the runs' counts.
+TEST(ShardedRuntime, SnapshotCountsSharedNnsStateOnce) {
+  const ReplayFixture fx;
+  const auto items = fx.items();
+  const auto nns_metrics = [](const obs::RegistrySnapshot& snap) {
+    return std::array<double, 3>{snap.value("infilter_nns_index_assessments_total"),
+                                 snap.value("infilter_nns_no_neighbor_total"),
+                                 snap.value("infilter_nns_trained_flows")};
+  };
+  core::InFilterEngine serial(fx.engine);
+  serial.set_clusters(sim::train_clusters(fx.config));
+  sim::preload_eia(fx.config, serial);
+  for (const auto& item : items) (void)serial.process(item.record, item.ingress, item.now);
+  const auto expected = nns_metrics(serial.registry().snapshot());
+  ASSERT_GT(expected[0], 0.0);
+  ASSERT_GT(expected[2], 0.0);
+
+  for (const int shards : {1, 2, 4}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    RuntimeConfig rc;
+    rc.shards = shards;
+    rc.engine = fx.engine;
+    ShardedRuntime rt(rc);
+    rt.set_clusters(sim::train_clusters(fx.config));
+    sim::preload_eia(fx.config, rt);
+    ASSERT_EQ(rt.submit_batch(items), items.size());
+    rt.flush();
+    const auto actual = nns_metrics(rt.snapshot());
+    EXPECT_DOUBLE_EQ(actual[0], expected[0]) << "assessments";
+    EXPECT_DOUBLE_EQ(actual[1], expected[1]) << "no-neighbor queries";
+    EXPECT_DOUBLE_EQ(actual[2], expected[2]) << "trained flows";
   }
 }
 
@@ -945,22 +810,7 @@ TEST(ShardedRuntime, SnapshotAndFlushAreSafeWhileProducersSubmit) {
   config.engine.mode = core::EngineMode::kBasic;
   ShardedRuntime rt(config);
   std::atomic<int> live{kProducers};
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&, p] {
-      std::vector<FlowItem> batch;
-      for (std::uint64_t i = 0; i < kPerProducer; ++i) {
-        batch.push_back(FlowItem{simple_flow(static_cast<std::uint32_t>(i)),
-                                 9001, static_cast<util::TimeMs>(i)});
-        if (batch.size() == 16) {
-          rt.submit_batch(batch, p);
-          batch.clear();
-        }
-      }
-      if (!batch.empty()) rt.submit_batch(batch, p);
-      live.fetch_sub(1);
-    });
-  }
+  auto producers = start_producers(rt, kProducers, kPerProducer, live);
   // Hammer the gate from the control thread while producers are live.
   while (live.load() > 0) {
     const auto snap = rt.snapshot();

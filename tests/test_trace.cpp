@@ -18,10 +18,13 @@
 
 #include "obs/metrics.h"
 #include "runtime/runtime.h"
+#include "runtime_fixtures.h"
 
 namespace infilter {
 namespace {
 
+using fixtures::simple_flow;
+using fixtures::submit_one;
 using obs::SpanKind;
 using obs::ThreadState;
 using obs::TraceEvent;
@@ -272,27 +275,6 @@ TEST(Tracer, ConcurrentWritersWithLiveSnapshotsAndExports) {
 
 // -- Runtime integration -----------------------------------------------------
 
-netflow::V5Record simple_flow(std::uint32_t salt) {
-  netflow::V5Record r;
-  r.src_ip = net::IPv4Address{(10u << 24) | (salt << 8)};
-  r.dst_ip = *net::IPv4Address::parse("100.64.0.1");
-  r.proto = 6;
-  r.src_port = 40000;
-  r.dst_port = 80;
-  r.packets = 10;
-  r.bytes = 5000;
-  r.first = salt;
-  r.last = salt + 10;
-  return r;
-}
-
-/// One flow through producer 0 as a batch of one: true when accepted.
-bool submit_one(runtime::ShardedRuntime& rt, const netflow::V5Record& record,
-                core::IngressId ingress, util::TimeMs now, std::uint64_t tag) {
-  const runtime::FlowItem item{record, ingress, now, tag};
-  return rt.submit_batch({&item, 1}) == 1;
-}
-
 struct ParsedSpan {
   std::string name;
   double ts = 0.0;
@@ -332,11 +314,14 @@ TEST(TraceRuntime, SpanSumsMatchExportedE2eHistogram) {
   runtime::RuntimeConfig config;
   config.shards = 2;
   config.queue_depth = 1024;
-  config.engine.mode = core::EngineMode::kBasic;  // no scan stage: kProcess path
+  config.engine.mode = core::EngineMode::kBasic;
   config.tracer = &tracer;
   constexpr std::uint64_t kFlows = 500;
   {
     runtime::ShardedRuntime rt(config);
+    // Every flow is legal, so its journey ends on the worker: queue_shard
+    // then eia.
+    rt.add_expected(9001, *net::Prefix::parse("0.0.0.0/0"));
     for (std::uint32_t i = 0; i < kFlows; ++i) {
       ASSERT_TRUE(submit_one(rt, simple_flow(i), 9001, i, /*tag=*/i + 1));
     }
@@ -350,7 +335,7 @@ TEST(TraceRuntime, SpanSumsMatchExportedE2eHistogram) {
     EXPECT_EQ(e2e->count, kFlows);
     EXPECT_EQ(shard_wait->count, kFlows);
     EXPECT_EQ(tracer.events_dropped(), 0u);
-    EXPECT_EQ(tracer.events_emitted(), 2 * kFlows);  // queue_shard + process
+    EXPECT_EQ(tracer.events_emitted(), 2 * kFlows);  // queue_shard + eia
 
     const auto spans = parse_spans(tracer.chrome_trace_json());
     ASSERT_EQ(spans.size(), 2 * kFlows);
@@ -363,7 +348,7 @@ TEST(TraceRuntime, SpanSumsMatchExportedE2eHistogram) {
       ASSERT_EQ(journey.size(), 2u) << "journey " << id;
       if (journey[0].ts > journey[1].ts) std::swap(journey[0], journey[1]);
       EXPECT_EQ(journey[0].name, "queue_shard");
-      EXPECT_EQ(journey[1].name, "process");
+      EXPECT_EQ(journey[1].name, "eia");
       // Tiling: each span starts where the previous one ended (exact in
       // ns; the export prints microseconds with 3 decimals, i.e. exactly).
       EXPECT_NEAR(journey[0].ts + journey[0].dur, journey[1].ts, 0.002);
@@ -397,6 +382,7 @@ TEST(TraceRuntime, SamplingKeysOnTagNotInternalSequence) {
   config.engine.mode = core::EngineMode::kBasic;
   config.tracer = &tracer;
   runtime::ShardedRuntime rt(config);
+  rt.add_expected(9001, *net::Prefix::parse("0.0.0.0/0"));  // legal: 2 spans each
   // Tags 0..99 while the internal sequence runs 1..100 (the ingest
   // offset): multiples of 8 among the tags are 0, 8, ..., 96.
   constexpr std::uint64_t kFlows = 100;
@@ -434,7 +420,6 @@ TEST(TraceRuntime, ScanStageJourneysTileAcrossAllFourSpans) {
   config.tracer = &tracer;
   Tracer* tracer_ptr = &tracer;
   runtime::ShardedRuntime rt(config);
-  ASSERT_NE(rt.scan_stage_engine(), nullptr);
   constexpr std::uint64_t kFlows = 200;
   for (std::uint32_t i = 0; i < kFlows; ++i) {
     ASSERT_TRUE(submit_one(rt, simple_flow(i), 9001, i, /*tag=*/i + 1));

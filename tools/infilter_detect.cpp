@@ -301,7 +301,7 @@ int main(int argc, char** argv) {
     for (const auto& flow : *training) records.push_back(flow.record);
     if (rt) rt->train(records);
     else engine->train(records);
-    const auto& clusters = rt ? rt->shard_engine(0).clusters() : engine->clusters();
+    const auto& clusters = rt ? rt->scan_engine().clusters() : engine->clusters();
     std::printf("trained on %zu flows (d = %d)\n", records.size(),
                 clusters->dimension());
   }
