@@ -28,49 +28,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <new>
 #include <string>
 #include <thread>
 #include <vector>
-
-// Sanitizer builds own operator new/delete (replacing them breaks ASan's
-// alloc/dealloc matching) and skew wall-clock ratios; the allocation probe
-// and the perf gates are release-lane checks only.
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define INFILTER_BENCH_SANITIZED 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-#define INFILTER_BENCH_SANITIZED 1
-#endif
-#endif
-#ifndef INFILTER_BENCH_SANITIZED
-#define INFILTER_BENCH_SANITIZED 0
-#endif
-
-// Global operator new/delete overrides: count every heap allocation made by
-// this binary so the probe section can prove the steady-state
-// receive -> ring -> decode -> dispatch path allocates nothing per
-// datagram. Counting only; allocation still goes through malloc/free.
-namespace {
-std::atomic<std::uint64_t> g_heap_allocs{0};
-
-#if !INFILTER_BENCH_SANITIZED
-void* counted_alloc(std::size_t size) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc{};
-}
-#endif
-}  // namespace
-
-#if !INFILTER_BENCH_SANITIZED
-void* operator new(std::size_t size) { return counted_alloc(size); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-#endif
 
 #include "dagflow/dagflow.h"
 #include "flowtools/udp.h"
@@ -80,6 +40,8 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 #include "traffic/attacks.h"
 #include "traffic/normal.h"
 #include "util/args.h"
+
+#include "heap_counter.h"
 
 using namespace infilter;
 using namespace std::chrono_literals;
@@ -317,10 +279,10 @@ std::uint64_t probe_steady_allocs(const Workload& w) {
   send_paced(*sender, **pipeline, bound, w, 0);  // warm pass
   (*pipeline)->drain();
 
-  const auto before = g_heap_allocs.load(std::memory_order_relaxed);
+  const auto before = bench::heap_allocs();
   send_paced(*sender, **pipeline, bound, w, w.datagrams.size());
   (*pipeline)->drain();
-  const auto allocs = g_heap_allocs.load(std::memory_order_relaxed) - before;
+  const auto allocs = bench::heap_allocs() - before;
   (*pipeline)->stop();
   return allocs;
 }

@@ -11,16 +11,23 @@
 // aging must actually fire (entries expired > 0), and every scheduled
 // resize must have completed with state migrated.
 //
+// A steady-state allocation probe rides along: with aging on, a warm
+// pre_process_batch over EIA-miss flows must not touch the heap.
+//
 // Usage:
 //   lifecycle_soak [--smoke] [--seed N] [--out BENCH_lifecycle.json]
 
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <vector>
 
+#include "core/engine.h"
 #include "obs/export.h"
 #include "sim/soak.h"
 #include "util/args.h"
+
+#include "heap_counter.h"
 
 using namespace infilter;
 
@@ -48,6 +55,41 @@ std::string wave_doc(const char* mode, const sim::SoakWave& w) {
   d += ", \"swept\": " + std::to_string(w.swept);
   d += "}";
   return d;
+}
+
+/// Heap allocations of one warm pre_process_batch over 256 EIA-miss flows,
+/// with aging on and a learn threshold no flow reaches: every flow runs
+/// the aging-aware is_expected, expected_ingress and observe_mismatch. The
+/// first pass sizes the pending counters and the batch vectors; the
+/// second, counted pass must allocate nothing.
+std::uint64_t probe_aging_allocs() {
+  core::EngineConfig config;
+  config.eia.learn_threshold = 1 << 20;
+  config.eia.lifecycle.max_idle_ms = util::kHour;
+  core::InFilterEngine engine(config);
+  for (std::uint32_t s = 0; s < 4; ++s) {
+    engine.add_expected(static_cast<core::IngressId>(9001 + s),
+                        net::Prefix{net::IPv4Address{(10u + s) << 24}, 8});
+  }
+  std::vector<core::FlowInput> flows(256);
+  for (std::uint32_t i = 0; i < flows.size(); ++i) {
+    flows[i].record.src_ip = net::IPv4Address{(20u << 24) | (i << 8) | 7u};
+    flows[i].record.dst_ip = net::IPv4Address{(192u << 24) | 1u};
+    flows[i].ingress = static_cast<core::IngressId>(9001 + i % 4);
+  }
+  std::vector<core::Verdict> verdicts(flows.size());
+  std::vector<core::SuspectFlow> suspects;
+  std::vector<std::uint32_t> positions;
+  std::uint64_t allocs = 0;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (auto& flow : flows) flow.now = 1000 * (pass + 1);
+    suspects.clear();
+    positions.clear();
+    const auto before = bench::heap_allocs();
+    engine.pre_process_batch(flows, verdicts, suspects, positions);
+    allocs = bench::heap_allocs() - before;
+  }
+  return allocs;
 }
 
 }  // namespace
@@ -100,6 +142,10 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(churned.entries_expired),
               static_cast<unsigned long long>(churned.entries_relearned));
 
+  const std::uint64_t aging_allocs = probe_aging_allocs();
+  std::printf("steady-state heap allocations, aging on, 256 EIA-miss flows: %llu\n",
+              static_cast<unsigned long long>(aging_allocs));
+
   // The regression gates: churn must be quality-neutral over the horizon.
   int failures = 0;
   const auto require = [&](bool ok, const char* what) {
@@ -125,11 +171,14 @@ int main(int argc, char** argv) {
   }
   require(max_benign_delta <= 0.01,
           "churn pushed >1% extra benign flows into the suspect path");
+  require(INFILTER_BENCH_SANITIZED || aging_allocs == 0,
+          "the warm EIA stage allocates with aging on");
 
   std::string doc = "{\n  \"bench\": \"lifecycle\",\n";
   doc += "  \"seed\": " + std::to_string(soak.base.seed) + ",\n";
   doc += "  \"waves\": " + std::to_string(soak.waves) + ",\n";
   doc += "  \"wave_gap_ms\": " + std::to_string(soak.wave_gap_ms) + ",\n";
+  doc += "  \"steady_state_heap_allocs\": " + std::to_string(aging_allocs) + ",\n";
   doc += "  \"runs\": [\n";
   for (const auto& wave : churned.waves) doc += wave_doc("churned", wave) + ",\n";
   for (const auto& wave : baseline.waves) doc += wave_doc("static", wave) + ",\n";

@@ -19,12 +19,9 @@
 //                [--out BENCH_nns_batch.json]
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <new>
 #include <span>
 #include <string>
 #include <thread>
@@ -38,43 +35,7 @@
 #include "traffic/normal.h"
 #include "util/args.h"
 
-// Sanitizer builds own operator new/delete (replacing them breaks ASan's
-// alloc/dealloc matching); the allocation probe is a release-lane check.
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define INFILTER_BENCH_SANITIZED 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-#define INFILTER_BENCH_SANITIZED 1
-#endif
-#endif
-#ifndef INFILTER_BENCH_SANITIZED
-#define INFILTER_BENCH_SANITIZED 0
-#endif
-
-// Global operator new/delete overrides: count every heap allocation made by
-// this binary so the batch section can prove the steady-state assess_batch
-// path allocates nothing per flow. Counting only; allocation still goes
-// through malloc/free.
-namespace {
-std::atomic<std::uint64_t> g_heap_allocs{0};
-
-#if !INFILTER_BENCH_SANITIZED
-void* counted_alloc(std::size_t size) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc{};
-}
-#endif
-}  // namespace
-
-#if !INFILTER_BENCH_SANITIZED
-void* operator new(std::size_t size) { return counted_alloc(size); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-#endif
+#include "heap_counter.h"
 
 using namespace infilter;
 using Clock = std::chrono::steady_clock;
@@ -217,9 +178,9 @@ BatchTiming measure_batch(const sim::ExperimentConfig& config,
   // Steady-state allocation probe: the first pass grew the arena pools, so
   // a second pass over the same stream must not touch the heap at all.
   {
-    const auto before = g_heap_allocs.load(std::memory_order_relaxed);
+    const auto before = bench::heap_allocs();
     run_batched();
-    t.steady_allocs = g_heap_allocs.load(std::memory_order_relaxed) - before;
+    t.steady_allocs = bench::heap_allocs() - before;
     t.steady_flows = records.size();
   }
 

@@ -97,9 +97,7 @@ def collate(root, out_path, expected):
             for key in ("records_per_sec", "flows_per_sec", "speedup_vs_serial",
                         "throughput_vs_untraced", "seconds", "producers",
                         "shard_queue_peak_min", "shard_queue_peak_max",
-                        "memory_bytes", "lookup_ns_per_flow",
-                        "memory_ratio_vs_exact", "false_positive_ratio",
-                        "bloom_false_suspects_total", "resizes",
+                        "memory_bytes", "lookup_ns_per_flow", "resizes",
                         "migrated_entries", "resize_pause_p99_us",
                         "entries_expired", "entries_relearned",
                         "min_detection_rate", "benign_suspect_delta"):

@@ -58,13 +58,13 @@ fi
 
 if [[ "$run_tsan" == 1 ]]; then
   echo "== lane: ThreadSanitizer (concurrency tests) =="
-  # EiaBackend*/EiaTable*/EiaIo* ride along so the Bloom/counting-Bloom
-  # membership backends (engine-private state the shard sweeps exercise
-  # concurrently) get sanitizer coverage next to the runtime tests.
+  # EiaTable*/EiaIo* ride along so the EIA sets (engine-private state the
+  # shard sweeps exercise concurrently) get sanitizer coverage next to the
+  # runtime tests.
   cmake --preset tsan
   cmake --build --preset tsan -j "$jobs"
   ./build-tsan/tests/infilter_tests \
-    --gtest_filter='ShardedRuntime*:SpscRing*:Node*:InFilterNode*:Ingest*:Tracer*:TraceRuntime*:TraceRing*:ThreadLane*:EiaBackend*:EiaBackendParse*:EiaTable*:EiaIo*'
+    --gtest_filter='ShardedRuntime*:SpscRing*:Node*:InFilterNode*:Ingest*:Tracer*:TraceRuntime*:TraceRing*:ThreadLane*:EiaTable*:EiaIo*'
 fi
 
 if [[ "$run_producers" == 1 ]]; then

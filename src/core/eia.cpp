@@ -7,6 +7,17 @@
 #include "util/rng.h"
 
 namespace infilter::core {
+namespace {
+
+/// The (ingress, set) entry for `ingress` in a sorted set vector, or the
+/// position where it would be inserted.
+template <typename Sets>
+auto find_set(Sets& sets, IngressId ingress) {
+  return std::lower_bound(sets.begin(), sets.end(), ingress,
+                          [](const auto& entry, IngressId id) { return entry.first < id; });
+}
+
+}  // namespace
 
 void EiaSet::add(const net::Prefix& prefix) {
   Range incoming{prefix.first().value(), prefix.last().value()};
@@ -103,29 +114,60 @@ std::uint64_t EiaSet::address_count() const {
 
 EiaTable::EiaTable(EiaTableConfig config)
     : config_(config),
-      backend_(make_eia_backend(config.backend)),
       pending_bank_cap_(std::max<std::size_t>(
           1, config.max_pending_counters / kPendingBanks)) {
   assert(config_.learn_threshold > 0);
 }
 
-void EiaTable::add_expected(IngressId ingress, const net::Prefix& prefix) {
-  backend_->add(ingress, prefix);
+EiaSet& EiaTable::set_ref(IngressId ingress) {
+  auto it = find_set(sets_, ingress);
+  if (it == sets_.end() || it->first != ingress) it = sets_.insert(it, {ingress, EiaSet{}});
+  return it->second;
 }
 
-void EiaTable::declare_ingress(IngressId ingress) {
-  backend_->declare_ingress(ingress);
+const EiaSet* EiaTable::set_for(IngressId ingress) const {
+  const auto it = find_set(sets_, ingress);
+  return it == sets_.end() || it->first != ingress ? nullptr : &it->second;
 }
+
+void EiaTable::add_expected(IngressId ingress, const net::Prefix& prefix) {
+  set_ref(ingress).add(prefix);
+}
+
+void EiaTable::declare_ingress(IngressId ingress) { (void)set_ref(ingress); }
 
 bool EiaTable::is_expected(IngressId ingress, net::IPv4Address source) const {
   ++stats_.lookups;
-  const bool hit = backend_->contains(ingress, source);
+  const EiaSet* set = set_for(ingress);
+  const bool hit = set != nullptr && set->contains(source);
   stats_.hits += hit ? 1 : 0;
   return hit;
 }
 
 std::optional<IngressId> EiaTable::expected_ingress(net::IPv4Address source) const {
-  return backend_->expected_ingress(source);
+  for (const auto& [ingress, set] : sets_) {
+    if (set.contains(source)) return ingress;
+  }
+  return std::nullopt;
+}
+
+std::vector<IngressId> EiaTable::ingresses() const {
+  std::vector<IngressId> out;
+  out.reserve(sets_.size());
+  for (const auto& [ingress, set] : sets_) out.push_back(ingress);
+  return out;
+}
+
+std::size_t EiaTable::total_ranges() const {
+  std::size_t total = 0;
+  for (const auto& [ingress, set] : sets_) total += set.range_count();
+  return total;
+}
+
+std::size_t EiaTable::memory_bytes() const {
+  std::size_t total = sets_.capacity() * sizeof(SetEntry);
+  for (const auto& [ingress, set] : sets_) total += set.memory_bytes();
+  return total;
 }
 
 std::size_t EiaTable::pending_counters() const {
@@ -171,7 +213,7 @@ bool EiaTable::observe_mismatch(IngressId ingress, net::IPv4Address source) {
     it = bank.emplace(key, 0).first;
   }
   if (++it->second >= config_.learn_threshold) {
-    backend_->add(ingress, net::Prefix{source, 24});
+    set_ref(ingress).add(net::Prefix{source, 24});
     bank.erase(it);
     ++stats_.learned_prefixes;
     return true;
@@ -187,7 +229,9 @@ bool EiaTable::expire_if_idle(IngressId ingress, std::uint32_t key24,
       !lifecycle::idle_expired(age.last_seen, now, config_.lifecycle.max_idle_ms)) {
     return false;
   }
-  backend_->unlearn(ingress, net::Prefix{net::IPv4Address{key24}, 24});
+  if (auto it = find_set(sets_, ingress); it != sets_.end() && it->first == ingress) {
+    it->second.remove(net::Prefix{net::IPv4Address{key24}, 24});
+  }
   age.expired = true;
   ++lifecycle_stats_.entries_expired;
   return true;
@@ -213,11 +257,11 @@ std::optional<IngressId> EiaTable::expected_ingress(net::IPv4Address source,
                                                     util::TimeMs now) {
   if (!aging_enabled()) return expected_ingress(source);
   const std::uint32_t key24 = source.value() & 0xFFFFFF00u;
-  for (const IngressId ingress : backend_->ingresses()) {
+  for (const auto& [ingress, set] : sets_) {
     auto it = age_.find((std::uint64_t{ingress} << 32) | key24);
     if (it != age_.end()) expire_if_idle(ingress, key24, it->second, now);
   }
-  return backend_->expected_ingress(source);
+  return expected_ingress(source);
 }
 
 bool EiaTable::observe_mismatch(IngressId ingress, net::IPv4Address source,
@@ -257,7 +301,9 @@ std::optional<lifecycle::EntryState> EiaTable::entry_state(
     return lifecycle::idle_state(it->second.last_seen, now, config_.lifecycle);
   }
   // Membership with no age metadata is a preload: established forever.
-  if (backend_->contains(ingress, source)) return lifecycle::EntryState::kEstablished;
+  if (const EiaSet* set = set_for(ingress); set != nullptr && set->contains(source)) {
+    return lifecycle::EntryState::kEstablished;
+  }
   return std::nullopt;
 }
 

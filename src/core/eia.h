@@ -12,26 +12,28 @@
 // auto-learning rule of Section 5.2: a source /24 is added to an ingress's
 // EIA set once enough flows from it arrive there.
 //
-// Membership storage is pluggable (core/eia_backend.h): the default exact
-// interval sets, or a memory-bounded Bloom / counting-Bloom backend for
-// internet-scale deployments. The table owns the learning machinery
-// either way; only the membership representation varies.
+// Membership is exact: one EiaSet per ingress, held in a vector sorted by
+// ingress id (one entry per peer AS, so it stays small). Lifecycle aging
+// (src/lifecycle) unlearns an idle /24 by interval subtraction, and
+// core/eia_io persists the sets as minimal CIDR lists.
 
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
-#include "core/eia_backend.h"
 #include "lifecycle/lifecycle.h"
 #include "net/ipv4.h"
 #include "util/time.h"
 
 namespace infilter::core {
+
+/// Identifies an ingress (peer AS link); the flow's receiving port.
+using IngressId = std::uint16_t;
 
 /// A set of IPv4 ranges with O(log n) lookup.
 class EiaSet {
@@ -93,17 +95,12 @@ struct EiaTableConfig {
   /// outcome a function of its own shard's history, preserving the
   /// sharded runtime's replay contract.
   std::size_t max_pending_counters = 1 << 20;
-  /// Membership storage (core/eia_backend.h).
-  EiaBackendConfig backend;
   /// Learned-entry aging (src/lifecycle). Off by default, which keeps the
-  /// table bit-identical to the pre-lifecycle pipeline. Active only on
-  /// backends that can remove a /24 (exact, counting-Bloom); the plain
-  /// Bloom backend keeps its own rotating-sub-filter aging.
+  /// table bit-identical to the pre-lifecycle pipeline.
   lifecycle::LifecycleConfig lifecycle;
 };
 
-/// Per-ingress EIA sets plus the auto-learning machinery. Move-only: the
-/// membership backend is owned behind a pointer.
+/// Per-ingress EIA sets plus the auto-learning machinery.
 class EiaTable {
  public:
   explicit EiaTable(EiaTableConfig config = {});
@@ -114,10 +111,7 @@ class EiaTable {
   /// Ensures `ingress` has an (initially empty) EIA set.
   void declare_ingress(IngressId ingress);
 
-  /// Basic InFilter check: does `ingress` expect this source? Exact on
-  /// the exact backend; on the probabilistic backends, subject to the
-  /// configured false-positive budget (never falsely negative for a
-  /// still-live learned key).
+  /// Basic InFilter check: does `ingress` expect this source?
   [[nodiscard]] bool is_expected(IngressId ingress, net::IPv4Address source) const;
 
   /// Aging-aware check: with lifecycle aging enabled, first expires the
@@ -132,17 +126,13 @@ class EiaTable {
 
   /// The ingress whose EIA set contains `source` (AS_IP(phi) of Section
   /// 5.2), or nullopt if no EIA set contains it. When several match, the
-  /// lowest ingress id wins (deterministic). On the probabilistic
-  /// backends this is the first-matching-ingress under the false-positive
-  /// budget: a false positive can name a lower ingress than the exact
-  /// answer. Callers use it as alert context and TTL-witness selection,
-  /// both tolerant of an approximate answer (core/eia_backend.h).
+  /// lowest ingress id wins (deterministic).
   [[nodiscard]] std::optional<IngressId> expected_ingress(net::IPv4Address source) const;
 
   /// Aging-aware variant: expires the source's idled entries at every
   /// ingress first (no refresh -- a /24 seen only at *other* ingresses is
   /// exactly the drift aging exists to forget). Identical to the const
-  /// overload with aging off.
+  /// overload with aging off. Allocation-free: walks the sets in place.
   [[nodiscard]] std::optional<IngressId> expected_ingress(net::IPv4Address source,
                                                           util::TimeMs now);
 
@@ -164,11 +154,8 @@ class EiaTable {
   /// lookup would have rejected anyway. Returns the number expired.
   std::size_t age_sweep(util::TimeMs now);
 
-  /// True when entry aging is active (config enabled AND the backend can
-  /// remove a /24).
-  [[nodiscard]] bool aging_enabled() const {
-    return config_.lifecycle.enabled() && backend_->supports_unlearn();
-  }
+  /// True when entry aging is active.
+  [[nodiscard]] bool aging_enabled() const { return config_.lifecycle.enabled(); }
 
   /// State of the (ingress, source /24) entry at `now`, or nullopt for
   /// keys the table knows nothing about. Preloaded (operator-provisioned)
@@ -203,29 +190,18 @@ class EiaTable {
   /// Re-inserts one pending counter into its bank (shard migration).
   void restore_pending(std::uint64_t key, int count);
 
-  [[nodiscard]] std::size_t ingress_count() const { return backend_->ingress_count(); }
-  /// The exact backend's interval set (null for unknown ingresses and on
-  /// the probabilistic backends, which have no interval representation).
-  [[nodiscard]] const EiaSet* set_for(IngressId ingress) const {
-    return backend_->set_for(ingress);
-  }
+  [[nodiscard]] std::size_t ingress_count() const { return sets_.size(); }
+  /// `ingress`'s interval set, or null for unknown ingresses.
+  [[nodiscard]] const EiaSet* set_for(IngressId ingress) const;
   [[nodiscard]] std::size_t pending_counters() const;
   /// All ingress ids with an EIA set, ascending.
-  [[nodiscard]] std::vector<IngressId> ingresses() const {
-    return backend_->ingresses();
-  }
-  /// Stored ranges across every ingress's EIA set (probabilistic
-  /// backends: /24 inserts performed).
-  [[nodiscard]] std::size_t total_ranges() const { return backend_->total_ranges(); }
-  /// Bytes held by the membership backend (infilter_eia_backend_bytes).
-  [[nodiscard]] std::size_t memory_bytes() const { return backend_->memory_bytes(); }
-  /// Bloom fill ratio; 0.0 on the exact backend.
-  [[nodiscard]] double fill_ratio() const { return backend_->fill_ratio(); }
+  [[nodiscard]] std::vector<IngressId> ingresses() const;
+  /// Stored ranges across every ingress's EIA set.
+  [[nodiscard]] std::size_t total_ranges() const;
+  /// Bytes held by the EIA sets (infilter_eia_backend_bytes).
+  [[nodiscard]] std::size_t memory_bytes() const;
   [[nodiscard]] const EiaStats& stats() const { return stats_; }
   [[nodiscard]] const EiaTableConfig& config() const { return config_; }
-  [[nodiscard]] const EiaBackend& backend() const { return *backend_; }
-  /// Mutable backend access for persistence (eia_io) and tests.
-  [[nodiscard]] EiaBackend& backend_mut() { return *backend_; }
 
   /// Pending-map banks; a power of two so bank-local decay refines every
   /// power-of-two runtime shard count (see max_pending_counters).
@@ -233,6 +209,10 @@ class EiaTable {
 
  private:
   using PendingMap = std::unordered_map<std::uint64_t, int>;
+  using SetEntry = std::pair<IngressId, EiaSet>;
+
+  /// `ingress`'s set, created empty on first use.
+  EiaSet& set_ref(IngressId ingress);
 
   static std::uint64_t age_key(IngressId ingress, net::IPv4Address source) {
     return (std::uint64_t{ingress} << 32) | (source.value() & 0xFFFFFF00u);
@@ -243,7 +223,8 @@ class EiaTable {
                       lifecycle::EntryAge& age, util::TimeMs now);
 
   EiaTableConfig config_;
-  std::unique_ptr<EiaBackend> backend_;
+  /// Sorted by ingress id; one entry per peer AS.
+  std::vector<SetEntry> sets_;
   /// Mutable: is_expected() is logically const but counts its lookups.
   mutable EiaStats stats_;
   /// (ingress << 32 | source /24) -> observed mismatch count, banked by

@@ -14,23 +14,13 @@
 // Export emits the minimal CIDR decomposition of each set, so a table
 // that learned extra /24s round-trips exactly.
 //
-// Probabilistic backends (core/eia_backend.h) have no interval
-// representation, so their export instead persists the backend verbatim:
-// a "backend <type> key=value..." directive carrying every hash-shaping
-// parameter, the ingress ids, per-bank rotation cursors (aging only), and
-// the nonzero bit words / counter bytes as sparse runs. Import honors the
-// directive -- it overrides the backend in the caller's config -- so a
-// reload answers membership exactly like the exported table, false
-// positives included. Files without a directive load with the caller's
-// configured backend (historically exact).
-//
 // Lifecycle aging (src/lifecycle) adds a versioned "lifecycle v1
 // max_idle=... stale_after=..." directive plus one "age <ingress>
 // <prefix/24> <learned_at> <last_seen> [expired]" line per aged entry.
 // Both appear only when the table holds age metadata, so pre-lifecycle
 // exports stay byte-identical; legacy dumps load with every entry
 // fresh/established (no metadata). The directive overrides the caller's
-// configured aging policy like the backend directive does.
+// configured aging policy.
 
 #pragma once
 

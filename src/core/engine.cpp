@@ -60,21 +60,12 @@ void InFilterEngine::register_component_metrics() {
   registry_->gauge_fn(
       "infilter_eia_backend_bytes",
       [this] { return static_cast<double>(eia_.memory_bytes()); },
-      "Bytes held by the EIA membership backend");
-  registry_->gauge_fn(
-      "infilter_eia_bloom_fill_ratio", [this] { return eia_.fill_ratio(); },
-      "Fraction of Bloom bits set (0 on the exact backend)");
+      "Bytes held by the EIA sets");
   registry_->counter_fn(
       "infilter_eia_pending_rejected_total",
       [this] { return eia_.stats().pending_rejected; },
       "Full-bank events on the pending learn-counter map (each ran the "
       "decay/eviction policy)");
-  registry_->counter_fn(
-      "infilter_eia_bloom_false_suspects_total",
-      [this] { return eia_false_suspects_; },
-      "Ground-truth-benign flows that drew a suspect verdict under a "
-      "probabilistic EIA backend (testbed-driven; 0 in production and on "
-      "the exact backend)");
   registry_->counter_fn(
       "infilter_lifecycle_entries_expired_total",
       [this] { return eia_.lifecycle_stats().entries_expired; },
@@ -249,10 +240,7 @@ void InFilterEngine::pre_process_batch(std::span<const FlowInput> flows,
     // The alert context is the post-learn first match, derived without a
     // second scan: learning added exactly (ingress, src /24), so the first
     // match becomes min(home, ingress) -- and an unchanged table keeps
-    // home. Exact on the exact backend (home == ingress is impossible on a
-    // miss); under Bloom aging a rotation inside the add could additionally
-    // erase an old match, which the documented probabilistic contract
-    // absorbs.
+    // home (home == ingress is impossible on a miss).
     suspects.push_back(SuspectFlow{
         record, ingress, now, learned,
         learned ? std::optional<IngressId>{pre_learn_home.has_value() &&

@@ -221,17 +221,6 @@ class InFilterEngine {
     return metrics_.alerts_total->value();
   }
 
-  /// Ground-truth hook (infilter_eia_bloom_false_suspects_total): a caller
-  /// that knows a flow was benign -- only the testbed does -- reports that
-  /// it still drew a suspect verdict. Counted only while a probabilistic
-  /// EIA backend is active; the exact backend cannot produce membership
-  /// false positives, so its benign suspects are the learning-phase
-  /// baseline, not backend artifacts. Subtract an exact-backend run on the
-  /// same seed to isolate the Bloom-attributable share (bench/eia_scale).
-  void note_ground_truth_benign_suspect() {
-    if (eia_.backend().type() != EiaBackendType::kExact) ++eia_false_suspects_;
-  }
-
  private:
   /// Alert construction with the expected-ingress context precomputed:
   /// pre_process_batch snapshots it at EIA-check time (before later flows
@@ -270,7 +259,6 @@ class InFilterEngine {
   obs::Registry* registry_;                        ///< never null
   obs::PipelineMetrics metrics_;
   std::uint64_t next_alert_id_ = 0;
-  std::uint64_t eia_false_suspects_ = 0;  ///< note_ground_truth_benign_suspect()
   BatchScratch batch_scratch_;
 };
 

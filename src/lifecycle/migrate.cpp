@@ -8,34 +8,13 @@
 
 namespace infilter::lifecycle {
 
-namespace {
-
-using core::EiaBackendType;
-
-/// Bank owner under the divisor contract: every key of bank b lands on
-/// shard b % shards whenever shards divides kBloomBanks (both are powers
-/// of two in practice; see the sharding contract in core/eia_backend.h).
-std::size_t bank_owner(std::size_t bank, std::size_t shards) {
-  return bank % shards;
-}
-
-const core::BankedBloomBase* as_banked(const core::EiaBackend& backend) {
-  return dynamic_cast<const core::BankedBloomBase*>(&backend);
-}
-
-}  // namespace
-
 std::size_t shard_of_key24(std::uint32_t key24, std::size_t shards) {
   return static_cast<std::size_t>(util::SplitMix64{key24}.next() % shards);
 }
 
 std::size_t EngineHarvest::entry_count() const {
   std::size_t membership = 0;
-  if (banked) {
-    membership = static_cast<std::size_t>(filter_inserts);
-  } else {
-    for (const auto& [ingress, cidrs] : exact_cidrs) membership += cidrs.size();
-  }
+  for (const auto& [ingress, prefixes] : cidrs) membership += prefixes.size();
   return membership + ages.size() + pending.size() + hopcount.size();
 }
 
@@ -51,98 +30,14 @@ EngineHarvest harvest_engines(
       ingress_union.insert(ingress);
     }
   }
-  harvest.ingresses.assign(ingress_union.begin(), ingress_union.end());
-
-  const core::EiaBackend& backend0 = engines[0]->eia().backend();
-  if (backend0.type() == EiaBackendType::kExact) {
-    for (const core::IngressId ingress : harvest.ingresses) {
-      core::EiaSet merged;
-      for (const auto* engine : engines) {
-        const core::EiaSet* set = engine->eia().set_for(ingress);
-        if (set == nullptr) continue;
-        for (const net::Prefix& prefix : set->to_cidrs()) merged.add(prefix);
-      }
-      harvest.exact_cidrs.emplace_back(ingress, merged.to_cidrs());
-    }
-  } else {
-    harvest.banked = true;
-    const auto* banked0 = as_banked(backend0);
-    assert(banked0 != nullptr);
-    const std::size_t segment = banked0->segment_positions();
-    const auto subfilters =
-        static_cast<std::size_t>(banked0->config().subfilters);
-    const bool exact_banks = core::kBloomBanks % old_shards == 0;
-
-    std::vector<const core::BankedBloomBase*> banked;
-    banked.reserve(old_shards);
+  for (const core::IngressId ingress : ingress_union) {
+    core::EiaSet merged;
     for (const auto* engine : engines) {
-      banked.push_back(as_banked(engine->eia().backend()));
-      harvest.filter_inserts += banked.back()->insert_count();
-      harvest.filter_rotations += banked.back()->rotations();
+      const core::EiaSet* set = engine->eia().set_for(ingress);
+      if (set == nullptr) continue;
+      for (const net::Prefix& prefix : set->to_cidrs()) merged.add(prefix);
     }
-
-    // Per-bank rotation cursors from each bank's owner shard.
-    harvest.bank_current.resize(core::kBloomBanks);
-    harvest.bank_inserts.resize(core::kBloomBanks);
-    for (std::size_t b = 0; b < core::kBloomBanks; ++b) {
-      const auto* owner = banked[bank_owner(b, old_shards)];
-      harvest.bank_current[b] = owner->bank_current()[b];
-      harvest.bank_inserts[b] = owner->bank_inserts()[b];
-    }
-
-    if (backend0.type() == EiaBackendType::kBloom) {
-      std::vector<const std::vector<std::vector<std::uint64_t>>*> words;
-      for (const auto* engine : engines) {
-        words.push_back(&static_cast<const core::BloomEiaBackend&>(
-                             engine->eia().backend())
-                             .word_arrays());
-      }
-      harvest.bloom_words.resize(words[0]->size());
-      const std::size_t words_per_bank = subfilters * segment / 64;
-      for (std::size_t f = 0; f < words[0]->size(); ++f) {
-        const std::size_t n = (*words[0])[f].size();
-        harvest.bloom_words[f].assign(n, 0);
-        for (std::size_t w = 0; w < n; ++w) {
-          if (exact_banks) {
-            const std::size_t bank = w / words_per_bank;
-            harvest.bloom_words[f][w] =
-                (*words[bank_owner(bank, old_shards)])[f][w];
-          } else {
-            // Off the divisor contract: banks mix shards, so merge
-            // conservatively (set-bit union; false positives only).
-            for (std::size_t s = 0; s < old_shards; ++s) {
-              harvest.bloom_words[f][w] |= (*words[s])[f][w];
-            }
-          }
-        }
-      }
-    } else {
-      std::vector<const std::vector<std::vector<std::uint8_t>>*> counters;
-      for (const auto* engine : engines) {
-        counters.push_back(&static_cast<const core::CountingBloomEiaBackend&>(
-                                engine->eia().backend())
-                                .counter_arrays());
-      }
-      harvest.cbloom_counters.resize(counters[0]->size());
-      const std::size_t bytes_per_bank = subfilters * segment;
-      for (std::size_t f = 0; f < counters[0]->size(); ++f) {
-        const std::size_t n = (*counters[0])[f].size();
-        harvest.cbloom_counters[f].assign(n, 0);
-        for (std::size_t i = 0; i < n; ++i) {
-          if (exact_banks) {
-            const std::size_t bank = i / bytes_per_bank;
-            harvest.cbloom_counters[f][i] =
-                (*counters[bank_owner(bank, old_shards)])[f][i];
-          } else {
-            std::uint8_t best = 0;
-            for (std::size_t s = 0; s < old_shards; ++s) {
-              best = std::max(best, (*counters[s])[f][i]);
-            }
-            harvest.cbloom_counters[f][i] = best;
-          }
-        }
-      }
-    }
+    harvest.cidrs.emplace_back(ingress, merged.to_cidrs());
   }
 
   // Age metadata and pending counters live only on their owner shard, so
@@ -184,31 +79,9 @@ void install_engine_state(const EngineHarvest& harvest,
                           core::InFilterEngine& engine, std::size_t shard,
                           std::size_t new_shards) {
   core::EiaTable& table = engine.eia_mut();
-  for (const core::IngressId ingress : harvest.ingresses) {
+  for (const auto& [ingress, prefixes] : harvest.cidrs) {
     table.declare_ingress(ingress);
-  }
-
-  if (!harvest.banked) {
-    for (const auto& [ingress, cidrs] : harvest.exact_cidrs) {
-      for (const net::Prefix& prefix : cidrs) table.add_expected(ingress, prefix);
-    }
-  } else {
-    core::EiaBackend& backend = table.backend_mut();
-    if (backend.type() == EiaBackendType::kBloom) {
-      auto& bloom = static_cast<core::BloomEiaBackend&>(backend);
-      assert(bloom.word_arrays().size() == harvest.bloom_words.size());
-      bloom.word_arrays() = harvest.bloom_words;
-      bloom.restore_bank_state(harvest.bank_current, harvest.bank_inserts,
-                               harvest.filter_inserts,
-                               harvest.filter_rotations);
-    } else {
-      auto& cbloom = static_cast<core::CountingBloomEiaBackend&>(backend);
-      assert(cbloom.counter_arrays().size() == harvest.cbloom_counters.size());
-      cbloom.counter_arrays() = harvest.cbloom_counters;
-      cbloom.restore_bank_state(harvest.bank_current, harvest.bank_inserts,
-                                harvest.filter_inserts,
-                                harvest.filter_rotations);
-    }
+    for (const net::Prefix& prefix : prefixes) table.add_expected(ingress, prefix);
   }
 
   for (const auto& aged : harvest.ages) {

@@ -10,19 +10,12 @@
 //
 // Per-component protocol (owner = the shard the source-/24 hash maps to):
 //
-//   * Exact EIA membership  -- union of every old shard's interval sets,
-//     replicated to every new engine. Learned /24s exist only on their
-//     old owner and preloads are replicated identically everywhere, so
-//     the union IS the serial set; entries for keys a new shard does not
-//     own are dead weight it never looks up (the same argument
-//     install_hopcount documents for hop-count preloads).
-//   * Bloom / counting-Bloom -- the bit space is bank-segmented by the
-//     same /24 hash (core/eia_backend.h), so each bank's segment -- and
-//     its rotation cursor -- is taken from the bank's old owner shard,
-//     reassembling the serial array exactly; the array is replicated to
-//     every new engine. For shard counts that do not divide kBloomBanks
-//     (outside the equivalence contract) the fallback merges
-//     conservatively (bitwise OR / counter max): never a false negative.
+//   * EIA membership -- union of every old shard's interval sets, as
+//     minimal CIDRs, replicated to every new engine. Learned /24s exist
+//     only on their old owner and preloads are replicated identically
+//     everywhere, so the union IS the serial set; entries for keys a new
+//     shard does not own are dead weight it never looks up (the same
+//     argument install_hopcount documents for hop-count preloads).
 //   * EIA age metadata + pending learn counters -- harvested from their
 //     owner (each lives only there) and installed filtered by the NEW
 //     owner hash: pending banks must hold exactly the serial contents,
@@ -50,20 +43,9 @@ namespace infilter::lifecycle {
 
 /// One serial-equivalent image of a quiescent shard pool's learned state.
 struct EngineHarvest {
-  std::vector<core::IngressId> ingresses;  ///< declared, ascending
-
-  /// Exact backend: union membership as minimal CIDRs per ingress.
-  std::vector<std::pair<core::IngressId, std::vector<net::Prefix>>> exact_cidrs;
-
-  /// Probabilistic backends: the reassembled serial filter arrays plus
-  /// per-bank rotation state. `banked` selects this representation.
-  bool banked = false;
-  std::vector<std::vector<std::uint64_t>> bloom_words;
-  std::vector<std::vector<std::uint8_t>> cbloom_counters;
-  std::vector<std::uint8_t> bank_current;
-  std::vector<std::uint64_t> bank_inserts;
-  std::uint64_t filter_inserts = 0;    ///< summed across replicas (see note)
-  std::uint64_t filter_rotations = 0;  ///< summed across replicas
+  /// Union membership as minimal CIDRs per declared ingress, ascending
+  /// (an ingress with an empty set keeps an empty list).
+  std::vector<std::pair<core::IngressId, std::vector<net::Prefix>>> cidrs;
 
   std::vector<core::EiaTable::AgedEntry> ages;
   std::vector<std::pair<std::uint64_t, int>> pending;

@@ -399,15 +399,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
     }
     engine.process_batch(std::span<const core::FlowInput>(inputs.data(), n),
                          std::span<core::Verdict>(verdicts.data(), n));
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto& flow = stream.flows[begin + i];
-      scorer.score(flow, verdicts[i]);
-      // Ground truth feed for infilter_eia_bloom_false_suspects_total:
-      // only the testbed knows this suspect was benign (engine.h).
-      if (!flow.attack && verdicts[i].suspect) {
-        engine.note_ground_truth_benign_suspect();
-      }
-    }
+    for (std::size_t i = 0; i < n; ++i) scorer.score(stream.flows[begin + i], verdicts[i]);
   }
   result = scorer.finalize();
   result.metrics = engine.registry().snapshot();

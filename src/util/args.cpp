@@ -7,7 +7,8 @@
 namespace infilter::util {
 
 Result<Args> Args::parse(int argc, const char* const* argv,
-                         const std::vector<std::string>& flag_names) {
+                         const std::vector<std::string>& flag_names,
+                         const std::vector<std::string>& value_names) {
   Args args;
   for (int i = 1; i < argc; ++i) {
     const std::string token = argv[i];
@@ -20,6 +21,10 @@ Result<Args> Args::parse(int argc, const char* const* argv,
     if (std::find(flag_names.begin(), flag_names.end(), name) != flag_names.end()) {
       args.flags_.insert(name);
       continue;
+    }
+    if (!value_names.empty() &&
+        std::find(value_names.begin(), value_names.end(), name) == value_names.end()) {
+      return Error{"unknown option --" + name};
     }
     if (i + 1 >= argc) return Error{"option --" + name + " needs a value"};
     args.values_[name] = argv[++i];

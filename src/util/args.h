@@ -1,8 +1,9 @@
 // Minimal command-line option parsing for the tools/ binaries.
 //
 // Supports "--name value" and "--flag" styles plus positional arguments;
-// unknown options are errors so typos fail loudly. Deliberately tiny: the
-// tools need a dozen options, not a framework.
+// a caller that declares its value options gets undeclared ones rejected,
+// so typos and retired options fail loudly. Deliberately tiny: the tools
+// need a dozen options, not a framework.
 
 #pragma once
 
@@ -21,9 +22,11 @@ namespace infilter::util {
 class Args {
  public:
   /// Parses argv. `flag_names` lists options that take no value; every
-  /// other "--name" consumes the following token as its value.
+  /// other "--name" consumes the following token as its value. When
+  /// `value_names` is non-empty, an option in neither list is an error.
   static Result<Args> parse(int argc, const char* const* argv,
-                            const std::vector<std::string>& flag_names = {});
+                            const std::vector<std::string>& flag_names = {},
+                            const std::vector<std::string>& value_names = {});
 
   [[nodiscard]] bool has(const std::string& name) const {
     return values_.contains(name) || flags_.contains(name);

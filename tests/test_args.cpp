@@ -26,6 +26,21 @@ TEST(Args, ParsesValuesFlagsAndPositionals) {
   EXPECT_FALSE(args.has("queue-depth"));
 }
 
+TEST(Args, DeclaredValueNamesRejectUnknownOptions) {
+  const std::vector<const char*> argv{"prog", "in.bin", "--threads", "2", "--thraeds", "4"};
+  const auto parsed =
+      Args::parse(static_cast<int>(argv.size()), argv.data(), {"idmef"}, {"threads"});
+  ASSERT_FALSE(parsed.has_value());
+  EXPECT_NE(parsed.error().message.find("unknown option --thraeds"), std::string::npos);
+  // Declared values and flags still parse.
+  const std::vector<const char*> ok{"prog", "--threads", "2", "--idmef"};
+  const auto accepted =
+      Args::parse(static_cast<int>(ok.size()), ok.data(), {"idmef"}, {"threads"});
+  ASSERT_TRUE(accepted.has_value()) << accepted.error().message;
+  EXPECT_EQ(accepted->value("threads"), "2");
+  EXPECT_TRUE(accepted->has("idmef"));
+}
+
 TEST(Args, CheckedIntAcceptsInRangeValues) {
   const auto args = parse({"--threads", "8", "--offset", "-3"});
   const auto threads = args.checked_int("threads", 0, 0, 4096);

@@ -7,6 +7,7 @@
 #include <set>
 #include <unordered_map>
 
+#include "alert/idmef_io.h"
 #include "core/eia.h"
 #include "core/eia_io.h"
 #include "core/scan.h"
@@ -16,6 +17,7 @@
 #include "netflow/v5.h"
 #include "nns/encoding.h"
 #include "nns/kor.h"
+#include "routing/routeviews.h"
 #include "sim/testbed.h"
 #include "util/rng.h"
 
@@ -161,10 +163,7 @@ TEST_P(SeededProperty, DecodeRejectsAllTruncations) {
 
 // --- Persisted-state import fuzz --------------------------------------
 
-/// One to three single-byte edits (replace, insert, delete). They keep
-/// every numeric field within a digit or two of its original, so no
-/// accepted mutant asks for a large backend; the size cap itself is
-/// pinned by EiaIo.RejectsBackendBudgetsAboveTheCap.
+/// One to three single-byte edits (replace, insert, delete).
 std::string mutate(std::string text, util::Rng& rng) {
   static constexpr std::string_view kAlphabet =
       "0123456789abcdefghijklmnopqrstuvwxyz ./=-#\t\n";
@@ -180,32 +179,30 @@ std::string mutate(std::string text, util::Rng& rng) {
   return text;
 }
 
+std::string render_idmef(const std::vector<alert::Alert>& alerts) {
+  std::string feed;
+  for (const auto& a : alerts) feed += a.to_idmef_xml();
+  return feed;
+}
+
 TEST_P(SeededProperty, ImportNeverCrashesOnMutatedDumps) {
   util::Rng rng{GetParam() ^ 0xd00d};
   const auto source = [](std::uint32_t i) { return net::IPv4Address{(10u << 24) | (i << 8)}; };
-  // Every dump format: exact with age metadata and a pending counter,
-  // counting-Bloom with rotation state, per-ingress Bloom; and hop-count.
-  std::vector<std::pair<std::string, core::EiaTableConfig>> eia;
-  for (const auto type : {core::EiaBackendType::kExact, core::EiaBackendType::kCountingBloom,
-                          core::EiaBackendType::kBloom}) {
-    core::EiaTableConfig config;
-    config.lifecycle.max_idle_ms = 60'000;
-    config.backend.type = type;
-    config.backend.bits = 1 << 16;
-    config.backend.subfilters = type == core::EiaBackendType::kCountingBloom ? 2 : 1;
-    config.backend.rotate_every = type == core::EiaBackendType::kCountingBloom ? 8 : 0;
-    config.backend.per_ingress = type == core::EiaBackendType::kBloom;
-    core::EiaTable table(config);
-    table.add_expected(9001, *net::Prefix::parse("10.1.0.0/16"));
-    table.declare_ingress(9003);
-    for (std::uint32_t i = 0; i < 12; ++i) {
-      for (std::uint32_t k = 0; k < (i == 11 ? 2 : 5); ++k) {
-        (void)table.observe_mismatch(static_cast<core::IngressId>(9001 + i % 3), source(i),
-                                     1000 * i + k);
-      }
+  // Every persisted format: an EIA dump with age metadata and a pending
+  // counter, a hop-count dump, an IDMEF alert feed and a Routeviews table.
+  core::EiaTableConfig eia_config;
+  eia_config.lifecycle.max_idle_ms = 60'000;
+  core::EiaTable eia(eia_config);
+  eia.add_expected(9001, *net::Prefix::parse("10.1.0.0/16"));
+  eia.declare_ingress(9003);
+  for (std::uint32_t i = 0; i < 12; ++i) {
+    for (std::uint32_t k = 0; k < (i == 11 ? 2 : 5); ++k) {
+      (void)eia.observe_mismatch(static_cast<core::IngressId>(9001 + i % 3), source(i),
+                                 1000 * i + k);
     }
-    eia.emplace_back(core::export_eia(table), config);
   }
+  const std::string eia_dump = core::export_eia(eia);
+
   hopcount::HopCountTable hops;
   for (std::uint32_t i = 0; i < 48; ++i) {
     (void)hops.observe(static_cast<core::IngressId>(9001 + i % 2), source(i % 8),
@@ -213,8 +210,41 @@ TEST_P(SeededProperty, ImportNeverCrashesOnMutatedDumps) {
   }
   const std::string hop_dump = hopcount::export_hopcount(hops);
 
-  // Whatever the edit, import fails cleanly or yields a table whose export
-  // is a fixed point of import.
+  std::vector<alert::Alert> alerts;
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    alert::Alert a;
+    a.id = 40 + i;
+    a.create_time = 1'000'000 + 77 * i;
+    a.stage = static_cast<alert::DetectionStage>(i % 3);
+    a.source_ip = source(i);
+    a.target_ip = net::IPv4Address{(192u << 24) | (i + 1)};
+    a.target_port = static_cast<std::uint16_t>(i == 0 ? 0 : 1434);
+    a.proto = 17;
+    a.ingress_port = static_cast<std::uint16_t>(9001 + i);
+    a.expected_ingress = i == 1 ? -1 : 9004;
+    if (a.stage == alert::DetectionStage::kNnsDistance) {
+      a.nns_distance = 310;
+      a.nns_threshold = 120;
+    }
+    a.classification = "spoofed traffic (" + std::string(alert::stage_name(a.stage)) + ")";
+    alerts.push_back(std::move(a));
+  }
+  const std::string idmef_feed = render_idmef(alerts);
+
+  routing::BgpTable bgp;
+  for (int i = 0; i < 6; ++i) {
+    bgp.add(routing::BgpTableEntry{
+        .best = i % 3 == 0,
+        .prefix = net::Prefix{net::IPv4Address{(4u << 24) | (static_cast<std::uint32_t>(i) << 16)},
+                              i < 3 ? 16 : 24},
+        .next_hop = net::IPv4Address{(193u << 24) | static_cast<std::uint32_t>(56 + i)},
+        .as_path = {3333 + i, 3356, 1},
+        .origin_code = i == 4 ? 'e' : 'i'});
+  }
+  const std::string bgp_dump = bgp.to_text();
+
+  // Whatever the edit, parsing fails cleanly or yields a value whose
+  // rendering is a fixed point of parse-then-render.
   int accepted = 0;
   const auto fuzz = [&](const std::string& dump, const auto& import, const auto& render) {
     const std::string mutant = mutate(dump, rng);
@@ -228,13 +258,14 @@ TEST_P(SeededProperty, ImportNeverCrashesOnMutatedDumps) {
     EXPECT_EQ(render(*again), canonical) << mutant;
   };
   for (int trial = 0; trial < 600; ++trial) {
-    for (const auto& dump : eia) {
-      fuzz(dump.first,
-           [&](std::string_view text) { return core::import_eia(text, dump.second); },
-           [](const core::EiaTable& table) { return core::export_eia(table); });
-    }
+    fuzz(eia_dump, [&](std::string_view text) { return core::import_eia(text, eia_config); },
+         [](const core::EiaTable& table) { return core::export_eia(table); });
     fuzz(hop_dump, [](std::string_view text) { return hopcount::import_hopcount(text); },
          [](const hopcount::HopCountTable& table) { return hopcount::export_hopcount(table); });
+    fuzz(idmef_feed, [](std::string_view text) { return alert::parse_idmef_stream(text); },
+         render_idmef);
+    fuzz(bgp_dump, [](std::string_view text) { return routing::BgpTable::parse(text); },
+         [](const routing::BgpTable& table) { return table.to_text(); });
   }
   EXPECT_GT(accepted, 0);  // comment and whitespace edits parse
 }

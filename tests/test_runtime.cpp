@@ -270,51 +270,6 @@ TEST(ShardedRuntime, ShardSweepWithTtlDetectionExactlyMatchesSerial) {
   }
 }
 
-// The Bloom EIA backend extension of the serial-equivalence guarantee:
-// membership bits live in banks keyed by the SAME /24 hash as shard_of,
-// so a bank's contents (and its rotation schedule) evolve from exactly
-// the keys one shard processes, in that shard's dispatch order. Verdicts
-// -- false positives included -- must be bit-identical to serial at every
-// power-of-two shard count.
-TEST(ShardedRuntime, ShardSweepWithBloomBackendExactlyMatchesSerial) {
-  auto config = runtime_config();
-  // Fewer preload blocks: 10 sources x 4 /11s is ~330k /24 inserts, the
-  // regime 2^22 bits is sized for (the full Table 3 footprint would need
-  // a 2^26-bit budget; quality-at-scale is bench_eia_scale's job).
-  config.blocks_per_source = 4;
-  config.engine.eia.backend.type = core::EiaBackendType::kBloom;
-  config.engine.eia.backend.bits = 1 << 22;
-  const auto serial = run_experiment(config);
-  EXPECT_GT(serial.detected_instances, 0u);
-  for (const int shards : {1, 2, 4, 8}) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
-    auto sharded_config = config;
-    sharded_config.runtime_shards = shards;
-    const auto sharded = run_experiment(sharded_config);
-    expect_same_result(serial, sharded);
-  }
-}
-
-// Same invariance with aging on (rotating sub-filters) and the counting
-// variant: rotation counters are bank-local, so the erasure schedule is
-// also a pure function of each shard's own traffic.
-TEST(ShardedRuntime, ShardSweepWithAgingCountingBloomMatchesSerial) {
-  auto config = runtime_config();
-  config.blocks_per_source = 4;
-  config.engine.eia.backend.type = core::EiaBackendType::kCountingBloom;
-  config.engine.eia.backend.bits = 1 << 21;
-  config.engine.eia.backend.subfilters = 2;
-  config.engine.eia.backend.rotate_every = 64;
-  const auto serial = run_experiment(config);
-  for (const int shards : {1, 2, 4, 8}) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
-    auto sharded_config = config;
-    sharded_config.runtime_shards = shards;
-    const auto sharded = run_experiment(sharded_config);
-    expect_same_result(serial, sharded);
-  }
-}
-
 // Reproducibility across runs of the same configuration, independent of
 // thread interleaving (a weaker property than serial equality, pinned
 // separately so a failure distinguishes "nondeterministic" from "wrong").

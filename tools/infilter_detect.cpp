@@ -12,18 +12,12 @@
 //                   [--mode basic|enhanced] [--ascii] [--idmef]
 //                   [--bits 144]          # unary bits/feature (d = 5*bits)
 //                   [--buffer 200] [--learn 5]
-//                   [--eia-backend exact|bloom[:BITS[,K[,R[,ROTATE]]]]|cbloom[:...]]
-//                                         # EIA membership storage: exact
-//                                         # interval sets (default) or a
-//                                         # memory-bounded Bloom / counting-
-//                                         # Bloom filter (core/eia_backend.h)
 //                   [--ttl-detect]        # fuse the TTL hop-count detector
 //                                         # with the EIA check (src/hopcount)
 //                   [--ttl-tolerance 2]   # hop-count window slack
 //                   [--eia-max-idle MS]   # expire learned EIA /24s idle
 //                                         # longer than MS of flow time
-//                                         # (src/lifecycle; 0 = off; needs
-//                                         # the exact or cbloom backend)
+//                                         # (src/lifecycle; 0 = off)
 //                   [--resize-shards N]   # live-resize the runtime to N
 //                                         # shards halfway through the
 //                                         # replay (requires --threads)
@@ -98,7 +92,11 @@ util::Result<std::vector<flowtools::CapturedFlow>> load_flows(const std::string&
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto parsed = util::Args::parse(argc, argv, {"ascii", "idmef", "ttl-detect"});
+  const auto parsed = util::Args::parse(
+      argc, argv, {"ascii", "idmef", "ttl-detect"},
+      {"backpressure", "bits", "buffer", "cpu-set", "dump-eia", "eia", "eia-max-idle",
+       "ingest-threads", "learn", "metrics-out", "mode", "queue-depth", "resize-shards",
+       "seed", "threads", "trace-out", "trace-sample", "train", "ttl-tolerance"});
   if (!parsed) return fail(parsed.error().message);
   const auto& args = *parsed;
   if (args.positional().size() != 1) return fail("exactly one capture FILE expected");
@@ -121,21 +119,10 @@ int main(int argc, char** argv) {
   const auto learn = args.checked_int("learn", 5, 1, 1 << 20);
   if (!learn) return fail(learn.error().message);
   config.eia.learn_threshold = static_cast<int>(*learn);
-  const auto backend = core::parse_eia_backend(args.value_or("eia-backend", "exact"));
-  if (!backend) return fail(backend.error().message);
-  config.eia.backend = *backend;
   const auto max_idle = args.checked_int("eia-max-idle", 0, 0,
                                          std::numeric_limits<std::int64_t>::max());
   if (!max_idle) return fail(max_idle.error().message);
   config.eia.lifecycle.max_idle_ms = static_cast<util::DurationMs>(*max_idle);
-  if (config.eia.lifecycle.enabled() &&
-      config.eia.backend.type == core::EiaBackendType::kBloom) {
-    // The plain Bloom filter cannot remove a /24; it ages by sub-filter
-    // rotation instead (core/eia_backend.h), so the flag is inert there.
-    std::fprintf(stderr,
-                 "infilter-detect: warning: --eia-max-idle has no effect on "
-                 "the bloom backend (use exact or cbloom)\n");
-  }
   config.use_hopcount = args.has("ttl-detect");
   const auto ttl_tolerance = args.checked_int("ttl-tolerance", 2, 0, 255);
   if (!ttl_tolerance) return fail(ttl_tolerance.error().message);
@@ -240,10 +227,7 @@ int main(int argc, char** argv) {
   } else {
     engine.emplace(config, &traceback);
   }
-  std::uint64_t preloaded_slash24s = 0;
   const auto add_expected = [&](core::IngressId ingress, const net::Prefix& prefix) {
-    preloaded_slash24s += ((prefix.last().value() & 0xFFFFFF00u) -
-                           (prefix.first().value() & 0xFFFFFF00u)) / 0x100u + 1;
     if (rt) rt->add_expected(ingress, prefix);
     else engine->add_expected(ingress, prefix);
   };
@@ -256,12 +240,6 @@ int main(int argc, char** argv) {
     text << in.rdbuf();
     const auto imported = core::import_eia(text.str());
     if (!imported) return fail(imported.error().message);
-    if (imported->backend().type() != core::EiaBackendType::kExact) {
-      // A probabilistic dump has no prefix list to replay into the
-      // engine's (per-shard) tables; only exact-format files preload.
-      return fail(*eia_path + " holds a probabilistic backend dump; "
-                  "--eia wants an exact prefix-list file");
-    }
     for (const auto ingress : imported->ingresses()) {
       for (const auto& prefix : imported->set_for(ingress)->to_cidrs()) {
         add_expected(ingress, prefix);
@@ -275,18 +253,6 @@ int main(int argc, char** argv) {
         add_expected(static_cast<core::IngressId>(9001 + s), block.prefix());
       }
     }
-  }
-  if (const double fill =
-          core::predicted_fill_ratio(config.eia.backend, preloaded_slash24s);
-      fill > 0.5) {
-    // A saturated filter answers "expected" for everything -- detection
-    // silently disappears. Warn, don't fail: the operator may be sizing
-    // for learned traffic, not the preload.
-    std::fprintf(stderr,
-                 "infilter-detect: warning: --eia-backend budget will be ~%.0f%% "
-                 "full after preloading %llu /24s; membership false positives "
-                 "will suppress detection (size >= 8 bits per expected /24)\n",
-                 100 * fill, static_cast<unsigned long long>(preloaded_slash24s));
   }
 
   if (config.mode == core::EngineMode::kEnhanced) {

@@ -8,15 +8,9 @@
 // Usage:
 //   infilter-monitor --train TRAIN_FILE [--ports 9001,...]
 //                    [--eia EIA_FILE] [--mode basic|enhanced]
-//                    [--eia-backend exact|bloom[:BITS[,K[,R[,ROTATE]]]]|cbloom[:...]]
-//                                          # EIA membership storage: exact
-//                                          # interval sets (default) or a
-//                                          # memory-bounded Bloom / counting-
-//                                          # Bloom filter (core/eia_backend.h)
 //                    [--eia-max-idle MS]   # expire learned EIA entries idle
 //                                          # longer than MS of flow time
-//                                          # (0 = off; src/lifecycle). Exact
-//                                          # and cbloom backends only
+//                                          # (0 = off; src/lifecycle)
 //                    [--resize-shards N]   # live-resize the worker pool to N
 //                                          # shards halfway through the run,
 //                                          # migrating engine state
@@ -105,7 +99,11 @@ bool write_metrics(const std::string& path, const obs::RegistrySnapshot& snapsho
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto parsed = util::Args::parse(argc, argv, {"idmef", "ttl-detect"});
+  const auto parsed = util::Args::parse(
+      argc, argv, {"idmef", "ttl-detect"},
+      {"cpu-set", "duration-ms", "eia", "eia-max-idle", "ingest-threads", "metrics-out",
+       "mode", "ports", "queue-depth", "resize-shards", "threads", "trace-out",
+       "trace-sample", "train", "ttl-tolerance"});
   if (!parsed) return fail(parsed.error().message);
   const auto& args = *parsed;
 
@@ -117,20 +115,10 @@ int main(int argc, char** argv) {
   }
   const auto mode = args.value_or("mode", "enhanced");
   if (mode == "basic") config.engine.mode = core::EngineMode::kBasic;
-  const auto backend =
-      core::parse_eia_backend(args.value_or("eia-backend", "exact"));
-  if (!backend) return fail(backend.error().message);
-  config.engine.eia.backend = *backend;
   const auto max_idle = args.checked_int("eia-max-idle", 0, 0,
                                          std::numeric_limits<std::int64_t>::max());
   if (!max_idle) return fail(max_idle.error().message);
   config.engine.eia.lifecycle.max_idle_ms = static_cast<util::DurationMs>(*max_idle);
-  if (config.engine.eia.lifecycle.enabled() &&
-      config.engine.eia.backend.type == core::EiaBackendType::kBloom) {
-    std::fprintf(stderr,
-                 "infilter-monitor: warning: --eia-max-idle has no effect on the "
-                 "bloom backend (use exact or cbloom)\n");
-  }
   config.engine.use_hopcount = args.has("ttl-detect");
   const auto ttl_tolerance = args.checked_int("ttl-tolerance", 2, 0, 255);
   if (!ttl_tolerance) return fail(ttl_tolerance.error().message);
@@ -176,10 +164,7 @@ int main(int argc, char** argv) {
   if (!node) return fail(node.error().message);
 
   // EIA sets: file or Table 3 defaults.
-  std::uint64_t preloaded_slash24s = 0;
   const auto add_expected = [&](core::IngressId ingress, const net::Prefix& prefix) {
-    preloaded_slash24s += ((prefix.last().value() & 0xFFFFFF00u) -
-                           (prefix.first().value() & 0xFFFFFF00u)) / 0x100u + 1;
     (*node)->add_expected(ingress, prefix);
   };
   if (const auto eia_path = args.value("eia")) {
@@ -189,12 +174,6 @@ int main(int argc, char** argv) {
     text << in.rdbuf();
     const auto imported = core::import_eia(text.str());
     if (!imported) return fail(imported.error().message);
-    if (imported->backend().type() != core::EiaBackendType::kExact) {
-      // A probabilistic dump has no prefix list to replay into the
-      // node's (per-shard) tables; only exact-format files preload.
-      return fail(*eia_path + " holds a probabilistic backend dump; "
-                  "--eia wants an exact prefix-list file");
-    }
     for (const auto ingress : imported->ingresses()) {
       for (const auto& prefix : imported->set_for(ingress)->to_cidrs()) {
         add_expected(ingress, prefix);
@@ -206,18 +185,6 @@ int main(int argc, char** argv) {
         add_expected(static_cast<core::IngressId>(9001 + s), block.prefix());
       }
     }
-  }
-  if (const double fill = core::predicted_fill_ratio(config.engine.eia.backend,
-                                                     preloaded_slash24s);
-      fill > 0.5) {
-    // A saturated filter answers "expected" for everything -- detection
-    // silently disappears. Warn, don't fail: the operator may be sizing
-    // for learned traffic, not the preload.
-    std::fprintf(stderr,
-                 "infilter-monitor: warning: --eia-backend budget will be ~%.0f%% "
-                 "full after preloading %llu /24s; membership false positives "
-                 "will suppress detection (size >= 8 bits per expected /24)\n",
-                 100 * fill, static_cast<unsigned long long>(preloaded_slash24s));
   }
 
   if (config.engine.mode == core::EngineMode::kEnhanced) {
