@@ -54,7 +54,6 @@ int main() {
   sim::ExperimentConfig config;
   config.normal_flows_per_source = 8000;
   config.training_flows = 2200;
-  config.engine.mode = core::EngineMode::kEnhanced;
   config.engine.cluster.bits_per_feature = 144;  // the paper's d = 720
   config.seed = 615;
   const int runs = 3;

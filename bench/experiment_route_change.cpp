@@ -56,8 +56,8 @@ int main() {
   double fp[2][3][4];
   double det[2][3][4];
   for (int mode = 0; mode < 2; ++mode) {
-    config.engine.mode = mode == 0 ? core::EngineMode::kBasic
-                                   : core::EngineMode::kEnhanced;
+    // mode 0 = Basic (EIA alone), mode 1 = Enhanced (both second stages).
+    config.engine.use_scan_analysis = config.engine.use_nns = mode == 1;
     for (int v = 0; v < 3; ++v) {
       for (int r = 0; r < 4; ++r) {
         config.attack_volume = volumes[v];

@@ -43,10 +43,11 @@ std::vector<netflow::V5Record> make_training(std::size_t count) {
   return records;
 }
 
+/// `enhanced` = EIA -> Scan Analysis -> NNS; otherwise Basic (EIA alone).
 std::unique_ptr<core::InFilterEngine> make_engine(
-    core::EngineMode mode, const std::vector<netflow::V5Record>& training) {
+    bool enhanced, const std::vector<netflow::V5Record>& training) {
   core::EngineConfig config;
-  config.mode = mode;
+  config.use_scan_analysis = config.use_nns = enhanced;
   config.seed = 7;
   // Disable EIA auto-learning: a benchmark loop replaying suspects from
   // one address range would otherwise teach the EIA set and silently
@@ -60,7 +61,7 @@ std::unique_ptr<core::InFilterEngine> make_engine(
       engine->add_expected(static_cast<core::IngressId>(9001 + s), block.prefix());
     }
   }
-  if (mode == core::EngineMode::kEnhanced) engine->train(training);
+  if (enhanced) engine->train(training);
   return engine;
 }
 
@@ -87,30 +88,30 @@ netflow::V5Record suspect_flow(std::uint32_t salt) {
 }
 
 // The fast path every in-EIA flow takes, both configurations.
-void BM_expected_flow(benchmark::State& state, core::EngineMode mode) {
+void BM_expected_flow(benchmark::State& state, bool enhanced) {
   static const auto training = make_training(2000);
-  auto engine = make_engine(mode, training);
+  auto engine = make_engine(enhanced, training);
   const auto flow = expected_flow();
   util::TimeMs now = 1000;
   for (auto _ : state) {
     benchmark::DoNotOptimize(engine->process(flow, 9001, now++));
   }
 }
-BENCHMARK_CAPTURE(BM_expected_flow, basic, core::EngineMode::kBasic);
-BENCHMARK_CAPTURE(BM_expected_flow, enhanced, core::EngineMode::kEnhanced);
+BENCHMARK_CAPTURE(BM_expected_flow, basic, false);
+BENCHMARK_CAPTURE(BM_expected_flow, enhanced, true);
 
 // The paper's latency comparison: a *suspect* flow through each pipeline.
-void BM_suspect_flow(benchmark::State& state, core::EngineMode mode) {
+void BM_suspect_flow(benchmark::State& state, bool enhanced) {
   static const auto training = make_training(2000);
-  auto engine = make_engine(mode, training);
+  auto engine = make_engine(enhanced, training);
   util::TimeMs now = 1000;
   std::uint32_t salt = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(engine->process(suspect_flow(salt++), 9001, now++));
   }
 }
-BENCHMARK_CAPTURE(BM_suspect_flow, basic_eia_only, core::EngineMode::kBasic);
-BENCHMARK_CAPTURE(BM_suspect_flow, enhanced_full_pipeline, core::EngineMode::kEnhanced);
+BENCHMARK_CAPTURE(BM_suspect_flow, basic_eia_only, false);
+BENCHMARK_CAPTURE(BM_suspect_flow, enhanced_full_pipeline, true);
 
 // The NNS search alone, at the paper's parameters (d=720, M1=1, M2=12,
 // M3=3) -- the component the paper blames for the 2-6 ms Enhanced latency.
@@ -177,10 +178,10 @@ std::string quantile_json(const obs::HistogramSnapshot& h) {
 /// Replays a mixed workload (3 expected : 1 suspect, the suspect sources
 /// rotating so scan analysis stays busy) through a fresh engine and
 /// serializes the obs histograms for that mode.
-std::string measure_mode(core::EngineMode mode, const char* name,
+std::string measure_mode(bool enhanced, const char* name,
                          const std::vector<netflow::V5Record>& training) {
   constexpr std::size_t kFlows = 40000;
-  auto engine = make_engine(mode, training);
+  auto engine = make_engine(enhanced, training);
   const auto expected = expected_flow();
   util::TimeMs now = 1000;
   for (std::size_t i = 0; i < kFlows; ++i) {
@@ -219,9 +220,9 @@ std::string measure_mode(core::EngineMode mode, const char* name,
 bool write_bench_json(const std::string& path) {
   static const auto training = make_training(2000);
   std::string doc = "{\n  \"bench\": \"latency\",\n  \"modes\": [\n";
-  doc += measure_mode(core::EngineMode::kBasic, "basic", training);
+  doc += measure_mode(false, "basic", training);
   doc += ",\n";
-  doc += measure_mode(core::EngineMode::kEnhanced, "enhanced", training);
+  doc += measure_mode(true, "enhanced", training);
   doc += "\n  ]\n}\n";
   std::ofstream out(path, std::ios::trunc);
   if (!out) return false;

@@ -56,7 +56,7 @@ int main() {
   std::printf("\n=== 2. Pipeline stages ===\n");
   {
     config = base_config();
-    config.engine.mode = core::EngineMode::kBasic;
+    config.engine.use_scan_analysis = config.engine.use_nns = false;
     print_row("EIA only (Basic InFilter)", sim::run_experiment(config));
 
     config = base_config();

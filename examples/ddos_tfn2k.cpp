@@ -19,7 +19,6 @@ int main() {
   sim::ExperimentConfig config;
   config.normal_flows_per_source = 4000;
   config.training_flows = 1500;
-  config.engine.mode = core::EngineMode::kEnhanced;
   config.engine.cluster.bits_per_feature = 144;  // the paper's d = 720
   config.seed = 5150;
 

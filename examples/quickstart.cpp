@@ -53,7 +53,6 @@ int main() {
   // 1. Engine with an alert sink.
   alert::CollectingSink alerts;
   core::EngineConfig config;
-  config.mode = core::EngineMode::kEnhanced;
   config.seed = 2026;
   core::InFilterEngine engine(config, &alerts);
 

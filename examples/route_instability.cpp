@@ -67,9 +67,9 @@ int main() {
               "Enhanced FP% (det%)");
   for (const int change : {1, 2, 4, 8}) {
     config.route_change_blocks = change;
-    config.engine.mode = core::EngineMode::kBasic;
+    config.engine.use_scan_analysis = config.engine.use_nns = false;  // Basic
     const auto basic = sim::run_experiment(config);
-    config.engine.mode = core::EngineMode::kEnhanced;
+    config.engine.use_scan_analysis = config.engine.use_nns = true;  // Enhanced
     const auto enhanced = sim::run_experiment(config, cache.get(config.seed));
     std::printf("%-14d %6.2f (%5.1f)        %6.2f (%5.1f)\n", change,
                 100.0 * basic.false_positive_rate(), 100.0 * basic.detection_rate(),

@@ -25,7 +25,6 @@ using namespace infilter;
 int main() {
   // --- Testbed: 10 normal sources on ports 9001..9010 (Table 3 EIA). ---
   core::EngineConfig config;
-  config.mode = core::EngineMode::kEnhanced;
   config.seed = 404;
   alert::CollectingSink alerts;
   core::InFilterEngine engine(config, &alerts);

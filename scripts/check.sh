@@ -64,7 +64,7 @@ if [[ "$run_tsan" == 1 ]]; then
   cmake --preset tsan
   cmake --build --preset tsan -j "$jobs"
   ./build-tsan/tests/infilter_tests \
-    --gtest_filter='ShardedRuntime*:SpscRing*:Node*:InFilterNode*:Ingest*:Tracer*:TraceRuntime*:TraceRing*:ThreadLane*:EiaTable*:EiaIo*'
+    --gtest_filter='ShardedRuntime*:SpscRing*:InFilterNode*:Ingest*:Tracer*:TraceRuntime*:TraceRing*:ThreadLane*:EiaTable*:EiaIo*'
 fi
 
 if [[ "$run_producers" == 1 ]]; then

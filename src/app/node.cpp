@@ -7,9 +7,7 @@
 namespace infilter::app {
 
 InFilterNode::InFilterNode(const NodeConfig& config, alert::AlertSink* alert_consumer)
-    : registry_ptr_(config.engine.registry != nullptr ? config.engine.registry
-                                                      : &registry_),
-      traceback_(config.traceback, alert_consumer),
+    : traceback_(config.traceback, alert_consumer),
       tracer_(config.tracer) {
   // One producer slot per ingest receiver (receiver i dispatches as
   // producer i). Receivers take cpu slots 0..R-1 of the affinity list, so
@@ -25,7 +23,6 @@ InFilterNode::InFilterNode(const NodeConfig& config, alert::AlertSink* alert_con
   runtime_config.queue_depth = config.queue_depth;
   runtime_config.backpressure = config.backpressure;
   runtime_config.engine = config.engine;
-  runtime_config.registry = registry_ptr_;
   runtime_config.tracer = tracer_;
   runtime_config.cpu_set = config.affinity;
   runtime_config.cpu_slot_offset = receivers;
@@ -50,7 +47,6 @@ util::Result<std::unique_ptr<InFilterNode>> InFilterNode::create(
   ingest::IngestConfig ingest_config;
   ingest_config.ports = config.ports;
   ingest_config.receiver_threads = config.ingest_threads;
-  ingest_config.registry = node->registry_ptr_;
   ingest_config.tracer = config.tracer;
   ingest_config.cpu_set = config.affinity;  // receivers take slots 0..R-1
   auto pipeline = ingest::IngestPipeline::create(std::move(ingest_config),

@@ -5,7 +5,9 @@
 // ingest receivers, the sharded Enhanced InFilter engines, the traceback
 // aggregator and an alert sink. This is what an operator actually runs
 // (tools/infilter-monitor); the testbed and benches drive the same engine
-// in-process instead.
+// in-process instead. The node holds no registry of its own: the runtime,
+// the ingest pipeline and the tracer each own theirs, and metrics()
+// merges their snapshots.
 
 #pragma once
 
@@ -121,10 +123,6 @@ class InFilterNode {
   /// Worker shards processing flows.
   [[nodiscard]] int threads() const { return static_cast<int>(runtime_->shard_count()); }
 
-  /// The registry holding the node-level value metrics (runtime and ingest
-  /// counters). The node-owned one unless NodeConfig::engine.registry was
-  /// set.
-  [[nodiscard]] obs::Registry& metrics_registry() { return *registry_ptr_; }
   /// Every metric of the node in one view: the runtime's merged snapshot
   /// (per-shard engine registries included, see ShardedRuntime::snapshot),
   /// the pipeline's, and the tracer's, taken with the receivers parked.
@@ -137,8 +135,6 @@ class InFilterNode {
 
   void refresh_stats();
 
-  obs::Registry registry_;
-  obs::Registry* registry_ptr_;  ///< user-supplied or &registry_
   core::TracebackEngine traceback_;
   obs::Tracer* tracer_ = nullptr;  ///< NodeConfig::tracer; may be null
   /// Verdict counts from the runtime's verdict hook (worker/scan threads).

@@ -139,9 +139,7 @@ void EiaTable::declare_ingress(IngressId ingress) { (void)set_ref(ingress); }
 bool EiaTable::is_expected(IngressId ingress, net::IPv4Address source) const {
   ++stats_.lookups;
   const EiaSet* set = set_for(ingress);
-  const bool hit = set != nullptr && set->contains(source);
-  stats_.hits += hit ? 1 : 0;
-  return hit;
+  return set != nullptr && set->contains(source);
 }
 
 std::optional<IngressId> EiaTable::expected_ingress(net::IPv4Address source) const {
@@ -177,7 +175,6 @@ std::size_t EiaTable::pending_counters() const {
 }
 
 bool EiaTable::observe_mismatch(IngressId ingress, net::IPv4Address source) {
-  ++stats_.mismatch_observations;
   const std::uint32_t key24 = source.value() & 0xFFFFFF00u;
   const std::uint64_t key = (std::uint64_t{ingress} << 32) | key24;
   // Bank by the /24's shard hash (the exact function the runtime's
@@ -215,7 +212,6 @@ bool EiaTable::observe_mismatch(IngressId ingress, net::IPv4Address source) {
   if (++it->second >= config_.learn_threshold) {
     set_ref(ingress).add(net::Prefix{source, 24});
     bank.erase(it);
-    ++stats_.learned_prefixes;
     return true;
   }
   return false;

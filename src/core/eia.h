@@ -69,15 +69,11 @@ class EiaSet {
 
 /// Lifetime counters of one EiaTable (observability surface).
 struct EiaStats {
-  std::uint64_t lookups = 0;           ///< is_expected() calls
-  std::uint64_t hits = 0;              ///< lookups that matched
-  std::uint64_t learned_prefixes = 0;  ///< /24s auto-learned (Section 5.2a)
-  std::uint64_t mismatch_observations = 0;
+  std::uint64_t lookups = 0;  ///< is_expected() calls
   /// Insert-when-full events on the pending learn-counter map: each one
   /// triggered the decay/eviction policy instead of (as before the fix)
   /// silently refusing to ever track the new candidate.
   std::uint64_t pending_rejected = 0;
-  [[nodiscard]] std::uint64_t misses() const { return lookups - hits; }
 };
 
 struct EiaTableConfig {

@@ -32,88 +32,85 @@ InFilterEngine::InFilterEngine(EngineConfig config, alert::AlertSink* sink)
       eia_(config.eia),
       hopcount_(config.hopcount),
       scan_(config.scan),
-      owned_registry_(config.registry != nullptr ? nullptr
-                                                 : std::make_unique<obs::Registry>()),
-      registry_(config.registry != nullptr ? config.registry : owned_registry_.get()),
-      metrics_(*registry_) {
+      metrics_(registry_) {
   register_component_metrics();
 }
 
 void InFilterEngine::register_component_metrics() {
   // Pull-style component internals: sampled at snapshot time, reading the
-  // engine's members directly (see EngineConfig::registry lifetime note).
-  registry_->gauge_fn(
+  // engine's members directly.
+  registry_.gauge_fn(
       "infilter_eia_pending_counters",
       [this] { return static_cast<double>(eia_.pending_counters()); },
       "Auto-learning candidates currently tracked (Section 5.2)");
-  registry_->gauge_fn(
+  registry_.gauge_fn(
       "infilter_eia_ranges",
       [this] { return static_cast<double>(eia_.total_ranges()); },
       "Stored address ranges across all EIA sets");
-  registry_->gauge_fn(
+  registry_.gauge_fn(
       "infilter_eia_ingresses",
       [this] { return static_cast<double>(eia_.ingress_count()); },
       "Ingress points with an EIA set");
-  registry_->counter_fn(
+  registry_.counter_fn(
       "infilter_eia_lookups_total", [this] { return eia_.stats().lookups; },
       "EIA membership tests performed by the table");
-  registry_->gauge_fn(
+  registry_.gauge_fn(
       "infilter_eia_backend_bytes",
       [this] { return static_cast<double>(eia_.memory_bytes()); },
       "Bytes held by the EIA sets");
-  registry_->counter_fn(
+  registry_.counter_fn(
       "infilter_eia_pending_rejected_total",
       [this] { return eia_.stats().pending_rejected; },
       "Full-bank events on the pending learn-counter map (each ran the "
       "decay/eviction policy)");
-  registry_->counter_fn(
+  registry_.counter_fn(
       "infilter_lifecycle_entries_expired_total",
       [this] { return eia_.lifecycle_stats().entries_expired; },
       "Learned EIA entries whose membership idle-expired (src/lifecycle)");
-  registry_->counter_fn(
+  registry_.counter_fn(
       "infilter_lifecycle_entries_relearned_total",
       [this] { return eia_.lifecycle_stats().entries_relearned; },
       "Expired EIA entries learned again on reobservation");
-  registry_->counter_fn(
+  registry_.counter_fn(
       "infilter_lifecycle_entries_refreshed_total",
       [this] { return eia_.lifecycle_stats().entries_refreshed; },
       "EIA entry last_seen advances on lookup hits (aging on)");
-  registry_->gauge_fn(
+  registry_.gauge_fn(
       "infilter_lifecycle_aged_entries",
       [this] { return static_cast<double>(eia_.aged_entry_count()); },
       "Age-metadata records held (live learned entries + expiry tombstones)");
-  registry_->gauge_fn(
+  registry_.gauge_fn(
       "infilter_hopcount_entries",
       [this] { return static_cast<double>(hopcount_.table().size()); },
       "(ingress, source /24) keys with a hop-count range");
-  registry_->counter_fn(
+  registry_.counter_fn(
       "infilter_hopcount_lookups_total",
       [this] { return hopcount_.table().stats().classified; },
       "TTL classifications performed by the hop-count table");
-  registry_->counter_fn(
+  registry_.counter_fn(
       "infilter_hopcount_established_total",
       [this] { return hopcount_.table().stats().established_keys; },
       "Hop-count keys that completed learning");
-  registry_->counter_fn(
+  registry_.counter_fn(
       "infilter_hopcount_expired_total",
       [this] { return hopcount_.table().stats().expired_entries; },
       "Hop-count entries re-learned after decaying idle");
-  registry_->gauge_fn(
+  registry_.gauge_fn(
       "infilter_scan_buffer_flows",
       [this] { return static_cast<double>(scan_.buffered_flows()); },
       "Suspect flows currently in the scan-analysis buffer");
-  registry_->counter_fn(
+  registry_.counter_fn(
       "infilter_scan_evictions_total", [this] { return scan_.stats().evictions; },
       "Flows aged out of the scan-analysis buffer");
-  registry_->counter_fn(
+  registry_.counter_fn(
       "infilter_nns_index_assessments_total",
       [this] { return clusters_ != nullptr ? clusters_->stats().assessments : 0; },
       "NNS queries against the trained clusters (all sharing engines)");
-  registry_->counter_fn(
+  registry_.counter_fn(
       "infilter_nns_no_neighbor_total",
       [this] { return clusters_ != nullptr ? clusters_->stats().no_neighbor : 0; },
       "NNS queries that found no neighbor at all");
-  registry_->gauge_fn(
+  registry_.gauge_fn(
       "infilter_nns_trained_flows",
       [this] {
         return clusters_ != nullptr
@@ -278,10 +275,9 @@ void InFilterEngine::finish_suspect_batch(std::span<const SuspectFlow> suspects,
   // sits between EIA and NNS), suspect by suspect in span order. Suspects
   // that reach the NNS stage are gathered for pass 2; alerts are only
   // recorded, not emitted, so the stream can be replayed in span order in
-  // pass 3. Basic mode, and Enhanced mode with every second stage
-  // disabled, decide on the EIA mismatch alone.
-  const bool degenerate_basic = config_.mode == EngineMode::kBasic ||
-                                !config_.use_nns || clusters_ == nullptr;
+  // pass 3. Without the NNS stage (Basic InFilter, or an ablation), a
+  // suspect the scan stage clears is decided on the EIA mismatch alone.
+  const bool degenerate_basic = !config_.use_nns || clusters_ == nullptr;
   for (std::size_t i = 0; i < suspects.size(); ++i) {
     const SuspectFlow& suspect = suspects[i];
     Verdict& verdict = out[i];
@@ -301,7 +297,7 @@ void InFilterEngine::finish_suspect_batch(std::span<const SuspectFlow> suspects,
       continue;
     }
 
-    if (config_.mode != EngineMode::kBasic && config_.use_scan_analysis) {
+    if (config_.use_scan_analysis) {
       ScanVerdict scan;
       {
         obs::StageTimer timer(metrics_.stage_scan_us);

@@ -1,6 +1,9 @@
 // The InFilter analysis engine: Basic (EIA only) and Enhanced
 // (EIA -> Scan Analysis -> NNS) configurations, implementing the Normal
 // processing phase of Figure 12 and the training phase of Figure 11.
+// Basic is the Enhanced pipeline with both second-stage switches off
+// (use_scan_analysis = use_nns = false); there is no separate mode. Each
+// engine owns one metrics registry (registry()).
 
 #pragma once
 
@@ -20,18 +23,14 @@
 
 namespace infilter::core {
 
-/// The two software configurations of Section 6.3.
-enum class EngineMode : std::uint8_t {
-  kBasic,     ///< "BI": EIA set analysis alone
-  kEnhanced,  ///< "EI": EIA -> Scan Analysis -> NNS
-};
-
 struct EngineConfig {
-  EngineMode mode = EngineMode::kEnhanced;
   EiaTableConfig eia;
   ScanConfig scan;
   ClusterConfig cluster;
-  /// Ablation switches (both true reproduces the paper's EI pipeline).
+  /// The second-stage switches. Both true is the paper's Enhanced InFilter
+  /// ("EI": EIA -> Scan Analysis -> NNS); both false is Basic InFilter
+  /// ("BI": EIA set analysis alone), the two configurations of Section
+  /// 6.3. One on is an ablation.
   bool use_scan_analysis = true;
   bool use_nns = true;
   /// TTL hop-count detection (src/hopcount), fused with the EIA check:
@@ -51,12 +50,6 @@ struct EngineConfig {
   /// many unrelated flows happened to be processed first. The sharded
   /// runtime (src/runtime) relies on this for serial-equivalence.
   std::uint64_t seed = 1;
-  /// External metrics registry (not owned). Null: the engine creates a
-  /// private registry, reachable via registry(). The engine registers
-  /// pull-style component metrics (EIA/scan/NNS internals) that read its
-  /// members, so an external registry must not be snapshotted after the
-  /// engine is destroyed.
-  obs::Registry* registry = nullptr;
 };
 
 /// One flow for the batch API: the arguments of process() as a value, so a
@@ -206,10 +199,10 @@ class InFilterEngine {
   [[nodiscard]] const ScanAnalysis& scan() const { return scan_; }
   [[nodiscard]] const EngineConfig& config() const { return config_; }
 
-  /// The registry every pipeline metric lives in (the external one when
-  /// EngineConfig::registry was set, the engine-private one otherwise).
-  [[nodiscard]] obs::Registry& registry() { return *registry_; }
-  [[nodiscard]] const obs::Registry& registry() const { return *registry_; }
+  /// The engine's registry: every pipeline metric plus the pull-style
+  /// component metrics (EIA/scan/NNS internals) that read its members.
+  [[nodiscard]] obs::Registry& registry() { return registry_; }
+  [[nodiscard]] const obs::Registry& registry() const { return registry_; }
   /// Direct handles to the per-stage counters and latency histograms.
   [[nodiscard]] const obs::PipelineMetrics& metrics() const { return metrics_; }
 
@@ -255,8 +248,7 @@ class InFilterEngine {
   hopcount::HopCountAnalysis hopcount_;
   ScanAnalysis scan_;
   std::shared_ptr<const TrainedClusters> clusters_;
-  std::unique_ptr<obs::Registry> owned_registry_;  ///< when config.registry == null
-  obs::Registry* registry_;                        ///< never null
+  obs::Registry registry_;
   obs::PipelineMetrics metrics_;
   std::uint64_t next_alert_id_ = 0;
   BatchScratch batch_scratch_;

@@ -37,23 +37,17 @@ TtlClass HopCountTable::classify(IngressId ingress, net::IPv4Address source,
                                  std::uint8_t ttl, util::TimeMs now) const {
   ++stats_.classified;
   const int hops = hops_from_ttl(ttl);
-  if (hops < 0) {
-    ++stats_.unknown;
-    return TtlClass::kUnknown;
-  }
+  if (hops < 0) return TtlClass::kUnknown;
   const auto it = table_.find(key_of(ingress, source));
   if (it == table_.end() || it->second.count < config_.learn_threshold ||
       stale(it->second, now)) {
-    ++stats_.unknown;
     return TtlClass::kUnknown;
   }
   const Entry& entry = it->second;
   if (hops >= int{entry.min_hops} - config_.tolerance &&
       hops <= int{entry.max_hops} + config_.tolerance) {
-    ++stats_.consistent;
     return TtlClass::kConsistent;
   }
-  ++stats_.misses;
   return TtlClass::kMiss;
 }
 
@@ -77,7 +71,6 @@ HopCountTable::Observe HopCountTable::observe(IngressId ingress,
     ++stats_.expired_entries;
   }
 
-  ++stats_.observations;
   Entry& entry = it->second;
   entry.last_seen = now;
   const auto hops8 = static_cast<std::uint8_t>(std::clamp(hops, 0, 255));

@@ -87,10 +87,6 @@ struct HopCountConfig {
 /// Lifetime counters of one HopCountTable (observability surface).
 struct HopCountStats {
   std::uint64_t classified = 0;        ///< classify() calls
-  std::uint64_t consistent = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t unknown = 0;
-  std::uint64_t observations = 0;      ///< observe() calls that touched state
   std::uint64_t established_keys = 0;  ///< keys that completed learning
   std::uint64_t relearned_ranges = 0;  ///< ranges reset by the relearn rule
   std::uint64_t expired_entries = 0;   ///< entries reset after decay_ms idle

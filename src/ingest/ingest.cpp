@@ -40,48 +40,41 @@ IngestPipeline::IngestPipeline(IngestConfig config, DispatchFn dispatch)
     : config_(std::move(config)), dispatch_(std::move(dispatch)) {
   // Normalize the knobs so the threads never have to re-check them.
   if (config_.receiver_threads < 1) config_.receiver_threads = 1;
-  if (config_.slot_bytes < netflow::kV5HeaderBytes) {
-    config_.slot_bytes = netflow::kV5HeaderBytes;
-  }
   if (config_.recv_batch < 1) config_.recv_batch = 1;
   if (config_.dispatch_batch < 1) config_.dispatch_batch = 1;
 
-  owned_registry_ = std::make_unique<obs::Registry>();
-  registry_ = config_.registry != nullptr ? config_.registry : owned_registry_.get();
-  datagrams_ = &registry_->counter("infilter_ingest_datagrams_total",
-                                   "export datagrams accepted by a receiver thread");
-  decoded_ = &registry_->counter("infilter_ingest_decoded_total",
-                                 "datagrams parsed as NetFlow v5");
-  malformed_ = &registry_->counter("infilter_ingest_malformed_total",
-                                   "datagrams that failed the v5 parse");
-  truncated_ = &registry_->counter(
+  datagrams_ = &registry_.counter("infilter_ingest_datagrams_total",
+                                  "export datagrams accepted by a receiver thread");
+  decoded_ = &registry_.counter("infilter_ingest_decoded_total",
+                                "datagrams parsed as NetFlow v5");
+  malformed_ = &registry_.counter("infilter_ingest_malformed_total",
+                                  "datagrams that failed the v5 parse");
+  truncated_ = &registry_.counter(
       "infilter_ingest_truncated_total",
       "datagrams longer than a buffer slot, dropped before decode");
-  kernel_drops_ = &registry_->counter(
+  kernel_drops_ = &registry_.counter(
       "infilter_ingest_kernel_drops_total",
       "datagrams the kernel dropped at the socket queue (SO_RXQ_OVFL)");
-  records_ = &registry_->counter("infilter_ingest_records_total",
-                                 "flow records decoded from export datagrams");
-  dispatched_ = &registry_->counter("infilter_ingest_dispatched_total",
-                                    "flow records accepted by the dispatcher");
-  shed_ = &registry_->counter("infilter_ingest_shed_total",
-                              "flow records the dispatcher refused (kDrop runtime)");
-  sequence_gaps_ = &registry_->counter(
+  records_ = &registry_.counter("infilter_ingest_records_total",
+                                "flow records decoded from export datagrams");
+  dispatched_ = &registry_.counter("infilter_ingest_dispatched_total",
+                                   "flow records accepted by the dispatcher");
+  shed_ = &registry_.counter("infilter_ingest_shed_total",
+                             "flow records the dispatcher refused (kDrop runtime)");
+  sequence_gaps_ = &registry_.counter(
       "infilter_ingest_sequence_gaps_total",
       "export-sequence gaps per (engine, ingress) stream");
-  socket_errors_ = &registry_->counter(
+  socket_errors_ = &registry_.counter(
       "infilter_ingest_socket_errors_total",
       "hard receive-socket failures (recv errors and poll error events)");
-  // `this`-capturing pull gauges never leave the owned registry (see
-  // RuntimeConfig::registry for the dangling-callback rationale).
-  owned_registry_->gauge_fn(
+  registry_.gauge_fn(
       "infilter_ingest_pinned_threads",
       [this] {
         return static_cast<double>(
             pinned_threads_.load(std::memory_order_relaxed));
       },
       "receiver threads pinned to a cpu from IngestConfig::cpu_set");
-  owned_registry_->counter_fn(
+  registry_.counter_fn(
       "infilter_ingest_affinity_failures_total",
       [this] { return affinity_failures_.load(std::memory_order_relaxed); },
       "receiver pin attempts the kernel refused (placement is a hint)");
@@ -100,7 +93,7 @@ util::Result<std::unique_ptr<IngestPipeline>> IngestPipeline::create(
 
   pipeline->sockets_.reserve(cfg.ports.size());
   for (std::size_t i = 0; i < cfg.ports.size(); ++i) {
-    auto receiver = flowtools::UdpReceiver::bind(cfg.ports[i], cfg.socket_rcvbuf);
+    auto receiver = flowtools::UdpReceiver::bind(cfg.ports[i], kSocketRcvbuf);
     if (!receiver) return receiver.error();
 #if defined(__linux__) && defined(SO_RXQ_OVFL)
     // Ask the kernel to report its own receive-queue drops with every
@@ -120,7 +113,7 @@ util::Result<std::unique_ptr<IngestPipeline>> IngestPipeline::create(
   const auto producers = std::min<std::size_t>(
       static_cast<std::size_t>(cfg.receiver_threads), pipeline->sockets_.size());
   for (std::size_t p = 0; p < producers; ++p) {
-    auto producer = std::make_unique<Producer>(cfg.recv_batch, cfg.slot_bytes);
+    auto producer = std::make_unique<Producer>(cfg.recv_batch);
     for (std::size_t s = p; s < pipeline->sockets_.size(); s += producers) {
       producer->sockets.push_back(s);
     }
@@ -179,7 +172,6 @@ std::size_t IngestPipeline::receive_batch(Producer& producer, Socket& socket,
       config_.tracer != nullptr && config_.tracer->enabled()
           ? obs::Tracer::now_ns()
           : 0;
-  const std::size_t slot_bytes = config_.slot_bytes;
   const auto socket_index =
       static_cast<std::uint16_t>(&socket - sockets_.data());
   std::size_t appended = 0;
@@ -200,7 +192,7 @@ std::size_t IngestPipeline::receive_batch(Producer& producer, Socket& socket,
     controls.resize(want);
     for (std::size_t i = 0; i < want; ++i) {
       const std::uint32_t slot = free_slots[free_slots.size() - 1 - i];
-      iovecs[i] = {producer.arena.get() + std::size_t{slot} * slot_bytes, slot_bytes};
+      iovecs[i] = {producer.arena.get() + std::size_t{slot} * kSlotBytes, kSlotBytes};
       std::memset(&msgs[i].msg_hdr, 0, sizeof msgs[i].msg_hdr);
       msgs[i].msg_hdr.msg_iov = &iovecs[i];
       msgs[i].msg_hdr.msg_iovlen = 1;
@@ -249,7 +241,7 @@ std::size_t IngestPipeline::receive_batch(Producer& producer, Socket& socket,
         }
 #endif
       }
-      if (msgs[i].msg_len > slot_bytes) {
+      if (msgs[i].msg_len > kSlotBytes) {
         truncated_->inc();
         truncated_slots.push_back(slot);  // nothing usable; recycle after the loop
         continue;
@@ -266,7 +258,7 @@ std::size_t IngestPipeline::receive_batch(Producer& producer, Socket& socket,
     // allocation-free UdpReceiver::receive_into().
     const std::uint32_t slot = free_slots.back();
     auto received = socket.receiver.receive_into(
-        std::span(producer.arena.get() + std::size_t{slot} * slot_bytes, slot_bytes));
+        std::span(producer.arena.get() + std::size_t{slot} * kSlotBytes, kSlotBytes));
     if (!received) {
       // receive_into() retries EINTR and maps EAGAIN to "no datagram", so
       // an error here is a genuine socket failure.
@@ -372,7 +364,7 @@ void IngestPipeline::receiver_main(Producer& producer, std::size_t index) {
     const bool tracing = lane != nullptr && tracer->enabled();
     for (const auto& ref : refs) {
       const std::uint8_t* base =
-          producer.arena.get() + std::size_t{ref.slot} * config_.slot_bytes;
+          producer.arena.get() + std::size_t{ref.slot} * kSlotBytes;
       netflow::V5Header header;
       std::size_t count = 0;
       const auto status = netflow::decode_into(std::span(base, ref.bytes), header,

@@ -57,6 +57,10 @@
 // gives receivers the first slots and offsets the runtime's workers past
 // them, so one --cpu-set list lays out the whole pipeline. Failures are
 // counted, never fatal.
+//
+// Metrics: the pipeline owns one registry (the infilter_ingest_* counters
+// and its pull gauges); snapshot() exports it for the caller to merge
+// with the runtime's.
 
 #pragma once
 
@@ -78,6 +82,13 @@
 
 namespace infilter::ingest {
 
+/// Bytes per receive-arena slot. A v5 export datagram is at most 1464
+/// bytes; longer datagrams are counted truncated and dropped before decode.
+inline constexpr std::size_t kSlotBytes = 2048;
+/// Kernel receive buffer per socket (SO_RCVBUF). This is the only queue in
+/// front of the receivers -- all slack lives here.
+inline constexpr int kSocketRcvbuf = 1 << 20;
+
 struct IngestConfig {
   /// Collector UDP ports, one socket each (0 entries bind ephemeral
   /// ports; read the assignments from ports()).
@@ -91,26 +102,15 @@ struct IngestConfig {
   /// maps to downstream producer slot r; sockets are distributed
   /// round-robin; clamped to [1, ports.size()].
   int receiver_threads = 1;
-  /// Bytes per buffer slot. A v5 export datagram is at most 1464 bytes;
-  /// longer datagrams are counted truncated and dropped before decode.
-  std::size_t slot_bytes = 2048;
   /// Datagrams per recvmmsg() batch; also the receiver's arena size in
   /// slots (one batch is all that is ever in flight).
   std::size_t recv_batch = 32;
   /// FlowItems accumulated before a dispatch call.
   std::size_t dispatch_batch = 256;
-  /// Kernel receive buffer per socket (SO_RCVBUF; 0 = system default).
-  /// This is the only queue in front of the receivers -- all slack lives
-  /// here.
-  int socket_rcvbuf = 1 << 20;
   /// CPU placement (runtime/affinity.h): empty = unpinned. Receiver r
   /// pins to cpu_set[(cpu_slot_offset + r) % size].
   std::vector<int> cpu_set;
   std::size_t cpu_slot_offset = 0;
-  /// Value metrics (datagram/malformed/drop counters) land here; null = a
-  /// pipeline-private registry. Pull gauges that call back into the
-  /// pipeline always stay private, same discipline as RuntimeConfig.
-  obs::Registry* registry = nullptr;
   /// Flight recorder (obs/trace.h), not owned; null = no tracing. When
   /// set, receiver threads register liveness lanes, stamp each sampled
   /// record's socket-receive time while tracer->enabled(), and emit the
@@ -129,7 +129,7 @@ struct IngestStats {
   std::uint64_t datagrams_received = 0;   ///< accepted into the pipeline
   std::uint64_t datagrams_decoded = 0;    ///< parsed as NetFlow v5
   std::uint64_t datagrams_malformed = 0;  ///< failed v5 parse (incl. zero-length)
-  std::uint64_t datagrams_truncated = 0;  ///< longer than slot_bytes, dropped
+  std::uint64_t datagrams_truncated = 0;  ///< longer than kSlotBytes, dropped
   std::uint64_t kernel_drops = 0;         ///< SO_RXQ_OVFL readout (socket queue)
   std::uint64_t records_decoded = 0;      ///< flow records parsed
   std::uint64_t records_dispatched = 0;   ///< accepted by the dispatcher
@@ -196,13 +196,9 @@ class IngestPipeline {
 
   [[nodiscard]] IngestStats stats() const;
 
-  /// The pipeline-private registry view (the `this`-capturing pull gauges
-  /// plus, when no external registry was configured, the value counters).
-  /// Callers with an external registry merge this with their own snapshot
-  /// (obs::merge_snapshots), the same shape as ShardedRuntime::snapshot().
-  [[nodiscard]] obs::RegistrySnapshot snapshot() const {
-    return owned_registry_->snapshot();
-  }
+  /// The pipeline's metrics (value counters and pull gauges). Callers
+  /// merge it with the runtime's snapshot (obs::merge_snapshots).
+  [[nodiscard]] obs::RegistrySnapshot snapshot() const { return registry_.snapshot(); }
 
  private:
   /// One received datagram awaiting inline decode: an arena slot plus
@@ -239,8 +235,8 @@ class IngestPipeline {
     std::atomic<bool> pause_requested{false};
     std::atomic<bool> paused{false};
 
-    Producer(std::size_t slots, std::size_t slot_bytes)
-        : arena(std::make_unique<std::uint8_t[]>(slots * slot_bytes)) {}
+    explicit Producer(std::size_t slots)
+        : arena(std::make_unique<std::uint8_t[]>(slots * kSlotBytes)) {}
   };
 
   IngestPipeline(IngestConfig config, DispatchFn dispatch);
@@ -271,11 +267,8 @@ class IngestPipeline {
   std::atomic<std::uint64_t> pinned_threads_{0};
   std::atomic<std::uint64_t> affinity_failures_{0};
 
-  /// Same dangling-callback discipline as ShardedRuntime: `this`-capturing
-  /// pull gauges live here; plain value counters go to config_.registry
-  /// when provided.
-  std::unique_ptr<obs::Registry> owned_registry_;
-  obs::Registry* registry_;  ///< external or owned_registry_.get(); never null
+  /// Value counters and the `this`-capturing pull gauges.
+  obs::Registry registry_;
   obs::Counter* datagrams_;
   obs::Counter* decoded_;
   obs::Counter* malformed_;

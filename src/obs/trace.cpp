@@ -104,29 +104,23 @@ std::size_t ThreadLane::queue_depth() const {
 Tracer::Tracer(TracerConfig config)
     : sample_every_(config.sample_every == 0 ? 1 : config.sample_every),
       ring_capacity_(config.ring_capacity),
-      enabled_(config.enabled),
-      owned_registry_(std::make_unique<Registry>()),
-      registry_(config.registry != nullptr ? config.registry
-                                           : owned_registry_.get()) {
-  e2e_us = &registry_->histogram(
+      enabled_(config.enabled) {
+  e2e_us = &registry_.histogram(
       "infilter_e2e_latency_us", journey_bounds(),
       "Sampled end-to-end latency, socket receive to final verdict (us)");
-  queue_wait_shard_us = &registry_->histogram(
+  queue_wait_shard_us = &registry_.histogram(
       "infilter_queue_wait_shard_us", journey_bounds(),
       "Sampled wait in the producer->shard-worker rings (us)");
-  queue_wait_scan_us = &registry_->histogram(
+  queue_wait_scan_us = &registry_.histogram(
       "infilter_queue_wait_scan_us", journey_bounds(),
       "Sampled wait from suspect forward to scan-stage release (us)");
-  // Tracer-backed pull instruments stay in the owned registry:
-  // obs::Registry has no unregistration, so this-capturing callbacks must
-  // not outlive `this`.
-  owned_registry_->counter_fn(
+  registry_.counter_fn(
       "infilter_trace_events_total", [this] { return events_emitted(); },
       "Span events recorded across all lanes");
-  owned_registry_->counter_fn(
+  registry_.counter_fn(
       "infilter_trace_dropped_total", [this] { return events_dropped(); },
       "Span events lost to full trace rings (flight recorder never blocks)");
-  owned_registry_->gauge_fn(
+  registry_.gauge_fn(
       "infilter_trace_threads",
       [this] {
         const std::lock_guard<std::mutex> lock(mutex_);
@@ -137,7 +131,7 @@ Tracer::Tracer(TracerConfig config)
         return live;
       },
       "Registered pipeline threads that have not exited");
-  owned_registry_->gauge_fn(
+  registry_.gauge_fn(
       "infilter_trace_threads_stalled",
       [this] {
         return static_cast<double>(stalled_count_.load(std::memory_order_relaxed));
@@ -171,7 +165,7 @@ ThreadLane* Tracer::register_thread(std::string name, std::string role,
   // invokes pull gauges under the registry mutex and those gauges take
   // mutex_, so taking the registry mutex while holding mutex_ would
   // invert that lock order.
-  owned_registry_->gauge_fn(
+  registry_.gauge_fn(
       "infilter_pipeline_threads_" + role,
       [this, role] {
         const std::lock_guard<std::mutex> inner(mutex_);

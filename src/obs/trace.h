@@ -54,6 +54,9 @@
 // scrape-time operations. Lanes are never unregistered (the flight
 // recorder keeps a dead thread's last events); retire() detaches the
 // queue probe so a Tracer may outlive the pipeline it instrumented.
+//
+// Metrics: the Tracer owns one registry -- journey histograms, event
+// counters and the pull gauges over its lanes; snapshot() exports it.
 
 #pragma once
 
@@ -86,7 +89,10 @@ enum class SpanKind : std::uint8_t {
                      ///< stability and old-trace readers.
   kQueueScan,        ///< suspect forward -> scan-stage release (reorder wait)
   kScanNns,          ///< scan release -> verdict (scan -> NNS -> alert)
-  kSerial,           ///< serial engine process(), no pipeline
+  kSerial,           ///< retired: one serial-engine process() call, from
+                     ///< when infilter-detect had a serial path. Every
+                     ///< run now goes through the sharded runtime; value
+                     ///< kept for export stability and old-trace readers.
 };
 
 [[nodiscard]] std::string_view span_name(SpanKind kind);
@@ -235,11 +241,6 @@ struct TracerConfig {
   std::uint64_t sample_every = 64;
   /// Master switch; also settable at runtime (set_enabled()).
   bool enabled = false;
-  /// Value metrics (event/drop counters, journey histograms) land here;
-  /// null = a tracer-private registry. Pull gauges that call back into the
-  /// tracer always stay private (obs::Registry has no unregistration --
-  /// same dangling-callback discipline as ShardedRuntime).
-  Registry* registry = nullptr;
 };
 
 /// The flight recorder: owns every lane, the journey histograms, and the
@@ -297,10 +298,10 @@ class Tracer {
   [[nodiscard]] std::uint64_t events_emitted() const;
   [[nodiscard]] std::uint64_t events_dropped() const;
 
-  /// The tracer-private registry view (thread-count and stall gauges,
-  /// plus the value metrics when no external registry was configured).
-  /// Merge with the pipeline's own snapshot (obs::merge_snapshots).
-  [[nodiscard]] RegistrySnapshot snapshot() const { return owned_registry_->snapshot(); }
+  /// The tracer's metrics: journey histograms, event/drop counters and the
+  /// thread-count and stall gauges. Merge with the pipeline's own snapshot
+  /// (obs::merge_snapshots).
+  [[nodiscard]] RegistrySnapshot snapshot() const { return registry_.snapshot(); }
 
   // -- Journey histograms (value instruments; thread-safe observe) --
   Histogram* e2e_us = nullptr;           ///< infilter_e2e_latency_us
@@ -319,8 +320,7 @@ class Tracer {
   std::deque<std::unique_ptr<ThreadLane>> lanes_;
   std::atomic<std::uint64_t> stalled_count_{0};
 
-  std::unique_ptr<Registry> owned_registry_;
-  Registry* registry_;  ///< external or owned_registry_.get(); never null
+  Registry registry_;
 };
 
 }  // namespace infilter::obs

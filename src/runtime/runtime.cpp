@@ -20,14 +20,6 @@ constexpr int kIdleSpins = 64;
 /// the scan stage, and while flush() waits for quiescence.
 constexpr auto kDrainNap = std::chrono::microseconds(50);
 
-core::EngineConfig shard_engine_config(const RuntimeConfig& config) {
-  core::EngineConfig engine = config.engine;
-  // Private per-shard registry: merged views come from snapshot(), and an
-  // external registry must never outlive callbacks into a dead shard.
-  engine.registry = nullptr;
-  return engine;
-}
-
 /// What a retired shard engine leaves behind at resize: its counters and
 /// histograms (pure history, safe to sum forever). Gauges are dropped --
 /// they describe live state (pending learn counters, table sizes) that
@@ -48,51 +40,41 @@ ShardedRuntime::ShardedRuntime(RuntimeConfig config, alert::AlertSink* sink,
     : config_(std::move(config)),
       hook_(std::move(hook)),
       tracer_(config_.tracer),
-      scan_engine_(shard_engine_config(config_), sink),
-      owned_registry_(std::make_unique<obs::Registry>()),
-      registry_(config_.registry != nullptr ? config_.registry
-                                            : owned_registry_.get()) {
+      scan_engine_(config_.engine, sink) {
   assert(config_.shards >= 1);
   assert(config_.max_batch >= 1);
   if (config_.producers < 1) config_.producers = 1;
 
-  submitted_ = &registry_->counter("infilter_runtime_submitted_total",
-                                   "Flows offered to submit_batch()");
-  dropped_ = &registry_->counter(
+  submitted_ = &registry_.counter("infilter_runtime_submitted_total",
+                                  "Flows offered to submit_batch()");
+  dropped_ = &registry_.counter(
       "infilter_runtime_dropped_total",
       "Flows shed because a shard ring stayed full (kDrop policy)");
-  backpressure_waits_ = &registry_->counter(
+  backpressure_waits_ = &registry_.counter(
       "infilter_runtime_backpressure_waits_total",
       "Producer stalls waiting for a full shard ring to drain (kBlock)");
-  batches_ = &registry_->counter("infilter_runtime_batches_total",
-                                 "Worker merge batches");
-  batch_size_ = &registry_->histogram(
+  batches_ = &registry_.counter("infilter_runtime_batches_total",
+                                "Worker merge batches");
+  batch_size_ = &registry_.histogram(
       "infilter_runtime_batch_size",
       obs::Histogram::exponential_bounds(1.0, 2.0, 10),
       "Flows claimed per worker merge batch");
-  resizes_total_ = &registry_->counter(
+  resizes_total_ = &registry_.counter(
       "infilter_lifecycle_resizes_total",
       "Completed live shard-pool resizes (ShardedRuntime::resize)");
-  migrated_entries_ = &registry_->counter(
+  migrated_entries_ = &registry_.counter(
       "infilter_lifecycle_migrated_entries_total",
       "State records carried across resize boundaries (EIA membership, "
       "age metadata, pending counters, hop-count ranges)");
-  resize_pause_us_ = &registry_->histogram(
+  resize_pause_us_ = &registry_.histogram(
       "infilter_lifecycle_resize_pause_us",
       obs::Histogram::exponential_bounds(50.0, 2.0, 16),
       "Producer-visible pause of one resize, quiesce through thread restart");
-  // `this`-capturing pull gauges always live in the runtime-private
-  // registry: obs::Registry has no unregistration, so installing them in a
-  // caller-supplied registry that outlives the runtime would leave a
-  // dangling callback behind (and, registration being idempotent, a second
-  // runtime sharing that registry could never replace it). snapshot()
-  // merges them in; only plain value instruments -- safe to read after the
-  // runtime dies -- go into the external registry above.
-  owned_registry_->gauge_fn(
+  registry_.gauge_fn(
       "infilter_runtime_shards",
       [this] { return static_cast<double>(shards_.size()); },
       "Worker threads / engine shards");
-  owned_registry_->gauge_fn(
+  registry_.gauge_fn(
       "infilter_runtime_queued",
       [this] {
         std::size_t queued = 0;
@@ -100,7 +82,7 @@ ShardedRuntime::ShardedRuntime(RuntimeConfig config, alert::AlertSink* sink,
         return static_cast<double>(queued);
       },
       "Flows currently sitting in shard rings");
-  owned_registry_->gauge_fn(
+  registry_.gauge_fn(
       "infilter_runtime_queue_imbalance",
       [this] {
         // Spread between the fullest and emptiest shard (summing each
@@ -117,7 +99,7 @@ ShardedRuntime::ShardedRuntime(RuntimeConfig config, alert::AlertSink* sink,
         return shards_.empty() ? 0.0 : static_cast<double>(hi - lo);
       },
       "Max minus min shard occupancy (dispatch skew)");
-  owned_registry_->gauge_fn(
+  registry_.gauge_fn(
       "infilter_runtime_queue_peak",
       [this] {
         std::uint64_t peak = 0;
@@ -128,19 +110,19 @@ ShardedRuntime::ShardedRuntime(RuntimeConfig config, alert::AlertSink* sink,
         return static_cast<double>(peak);
       },
       "High-water shard occupancy sampled at push time");
-  owned_registry_->counter_fn(
+  registry_.counter_fn(
       "infilter_runtime_suspects_forwarded_total",
       [this] { return suspects_forwarded_.load(std::memory_order_relaxed); },
       "EIA misses forwarded to the shared scan stage");
-  owned_registry_->counter_fn(
+  registry_.counter_fn(
       "infilter_runtime_suspects_completed_total",
       [this] { return suspects_completed_.load(std::memory_order_relaxed); },
       "Suspect flows completed by the shared scan stage");
-  owned_registry_->gauge_fn(
+  registry_.gauge_fn(
       "infilter_runtime_producers",
       [this] { return static_cast<double>(producers_.size()); },
       "Producer slots (receiver-direct dispatchers)");
-  owned_registry_->gauge_fn(
+  registry_.gauge_fn(
       "infilter_runtime_producer_lag",
       [this] {
         // How far the slowest in-flight producer's published watermark
@@ -157,7 +139,7 @@ ShardedRuntime::ShardedRuntime(RuntimeConfig config, alert::AlertSink* sink,
       },
       "Claim counter minus the slowest in-flight producer's published "
       "watermark (0 when no submit is in flight)");
-  owned_registry_->counter_fn(
+  registry_.counter_fn(
       "infilter_runtime_producer_flows_total",
       [this] {
         std::uint64_t total = 0;
@@ -167,14 +149,14 @@ ShardedRuntime::ShardedRuntime(RuntimeConfig config, alert::AlertSink* sink,
         return total;
       },
       "Flows accepted into shard rings, summed over producer slots");
-  owned_registry_->gauge_fn(
+  registry_.gauge_fn(
       "infilter_runtime_pinned_threads",
       [this] {
         return static_cast<double>(
             pinned_threads_.load(std::memory_order_relaxed));
       },
       "Runtime threads pinned to a cpu from RuntimeConfig::cpu_set");
-  owned_registry_->counter_fn(
+  registry_.counter_fn(
       "infilter_runtime_affinity_failures_total",
       [this] { return affinity_failures_.load(std::memory_order_relaxed); },
       "Thread-pinning attempts the kernel refused (placement is a hint)");
@@ -211,7 +193,7 @@ std::unique_ptr<ShardedRuntime::Shard> ShardedRuntime::make_shard(int index) {
   }
   // The EIA half only: no sink (only the scan engine emits alerts) and no
   // clusters (NNS runs on the scan stage).
-  shard->engine = std::make_unique<core::InFilterEngine>(shard_engine_config(config_));
+  shard->engine = std::make_unique<core::InFilterEngine>(config_.engine);
   shard->suspect_ring = std::make_unique<SpscRing<SeqSuspect>>(config_.queue_depth);
   return shard;
 }
@@ -966,15 +948,12 @@ obs::RegistrySnapshot ShardedRuntime::snapshot() const {
   // pushes either completed before the gate or wait behind it).
   std::unique_lock gate(submit_gate_);
   std::vector<obs::RegistrySnapshot> parts;
-  parts.reserve(shards_.size() + 3 + retired_.size());
-  parts.push_back(registry_->snapshot());
+  parts.reserve(shards_.size() + 2 + retired_.size());
+  parts.push_back(registry_.snapshot());
   // Counter/histogram history of engines retired by resize() (their
   // gauges were dropped at retirement -- the live engines report that
   // state now).
   for (const obs::RegistrySnapshot& part : retired_) parts.push_back(part);
-  if (owned_registry_.get() != registry_) {
-    parts.push_back(owned_registry_->snapshot());
-  }
   bool all_quiescent = true;
   for (const auto& shard : shards_) {
     // A shard engine's registry holds pull gauges over plain (non-atomic)

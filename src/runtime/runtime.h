@@ -5,7 +5,8 @@
 // pipeline (its own EIA table, hop-count table and metrics registry), fed
 // by bounded SPSC rings from P producers -- one ring per (producer, shard)
 // pair, merged by the worker -- plus one scan-stage thread that finishes
-// every shard's suspects on a single shared engine.
+// every shard's suspects on a single shared engine. The runtime owns one
+// registry of its own; snapshot() merges it with every engine's.
 // Producers hash each flow's source /24 to a fixed shard, so every flow
 // from one source -- and every flow sharing that source's EIA
 // auto-learning counter -- always reaches the same engine. The paper's
@@ -41,9 +42,10 @@
 //     never held back (every other producer's bound lies at or above its
 //     last tag), so claims larger than the rings cannot deadlock.
 //
-// Topology, the same in every engine mode: workers run pre_process_batch
-// and forward suspects; the scan thread runs finish_suspect_batch, which
-// also decides kBasic and disabled stages. Only the scan engine holds the
+// Topology, the same for every engine configuration: workers run
+// pre_process_batch and forward suspects; the scan thread runs
+// finish_suspect_batch, which also decides Basic InFilter and disabled
+// stages. Only the scan engine holds the
 // trained clusters and the alert sink.
 //
 // Semantics relative to one serial engine processing the flows in tag
@@ -150,17 +152,9 @@ struct RuntimeConfig {
   /// ingest receivers and the runtime threads over one list.
   std::vector<int> cpu_set;
   std::size_t cpu_slot_offset = 0;
-  /// Engine template for the shard engines and the scan engine.
-  /// `engine.registry` is ignored: every engine gets a private registry so
-  /// snapshots never race engine teardown, and snapshot() merges them.
+  /// Engine template for the shard engines and the scan engine. Each
+  /// engine owns its registry; snapshot() merges them with the runtime's.
   core::EngineConfig engine;
-  /// Runtime-level value metrics (dispatch, drop, batch counters and
-  /// histograms) land here; null = a runtime-private registry. Pull gauges
-  /// that call back into the runtime (shard count, queue occupancy) always
-  /// stay runtime-private -- obs::Registry has no unregistration, so an
-  /// external registry that outlives the runtime must never hold a
-  /// callback into it. snapshot() merges both views either way.
-  obs::Registry* registry = nullptr;
   /// Flight recorder (obs/trace.h), not owned; null = no tracing, no
   /// liveness lanes. When set, the producer/worker/scan threads register
   /// lanes, publish heartbeats, and -- while tracer->enabled() -- emit the
@@ -474,11 +468,9 @@ class ShardedRuntime {
   std::condition_variable scan_wake_cv_;
   std::atomic<bool> scan_parked_{false};
 
-  /// Always holds the `this`-capturing pull gauges (see
-  /// RuntimeConfig::registry); also the value-metric home when
-  /// config.registry == null.
-  std::unique_ptr<obs::Registry> owned_registry_;
-  obs::Registry* registry_;  ///< external or owned_registry_.get(); never null
+  /// The runtime-level metrics: dispatch/drop/batch value instruments and
+  /// the `this`-capturing pull gauges (shard count, queue occupancy).
+  obs::Registry registry_;
   obs::Counter* submitted_;
   obs::Counter* dropped_;
   obs::Counter* backpressure_waits_;

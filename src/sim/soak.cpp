@@ -38,10 +38,8 @@ SoakResult run_soak(const SoakConfig& config) {
 
   core::EngineConfig engine_config = config.base.engine;
   engine_config.seed = config.base.seed ^ 0xe191eULL;
-  const bool needs_clusters =
-      engine_config.mode == core::EngineMode::kEnhanced && engine_config.use_nns;
   const auto clusters =
-      needs_clusters ? train_clusters(config.base) : nullptr;
+      engine_config.use_nns ? train_clusters(config.base) : nullptr;
 
   runtime::RuntimeConfig runtime_config;
   runtime_config.shards = config.base.runtime_shards;
@@ -71,7 +69,7 @@ SoakResult run_soak(const SoakConfig& config) {
       runtime.add_expected(port, net::SubBlock{b}.prefix());
     }
   }
-  if (needs_clusters) runtime.set_clusters(clusters);
+  if (engine_config.use_nns) runtime.set_clusters(clusters);
 
   SoakResult out;
   util::TimeMs offset = 0;

@@ -334,9 +334,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
 
   core::EngineConfig engine_config = config.engine;
   engine_config.seed = config.seed ^ 0xe191eULL;
-  const bool needs_clusters =
-      engine_config.mode == core::EngineMode::kEnhanced && engine_config.use_nns;
-  if (needs_clusters && !clusters) clusters = train_clusters(config);
+  if (engine_config.use_nns && !clusters) clusters = train_clusters(config);
 
   Scorer scorer(config, stream);
   ExperimentResult result;
@@ -358,7 +356,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
           scorer.score(stream.flows[item.tag], verdict);
         });
     preload_eia(config, runtime);
-    if (needs_clusters) runtime.set_clusters(clusters);
+    if (engine_config.use_nns) runtime.set_clusters(clusters);
     constexpr std::size_t kSubmitBatch = 256;
     std::vector<runtime::FlowItem> batch;
     batch.reserve(kSubmitBatch);
@@ -377,14 +375,10 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
     return result;
   }
 
-  // Serial replay (the paper's prototype). The run-local registry collects
-  // the pipeline metrics; it is snapshotted into the result before the
-  // engine (whose callbacks it holds) goes away.
-  obs::Registry registry;
-  if (engine_config.registry == nullptr) engine_config.registry = &registry;
+  // Serial replay (the paper's prototype).
   core::InFilterEngine engine(engine_config);
   preload_eia(config, engine);
-  if (needs_clusters) engine.set_clusters(clusters);
+  if (engine_config.use_nns) engine.set_clusters(clusters);
 
   // Replay through the batch hot path in fixed-size chunks (verdicts are
   // bit-identical to per-flow process(); tests/test_batch.cpp pins this).

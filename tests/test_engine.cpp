@@ -34,14 +34,13 @@ netflow::V5Record flow_from(net::IPv4Address src, std::uint16_t dst_port = 80,
 
 EngineConfig basic_config() {
   EngineConfig c;
-  c.mode = EngineMode::kBasic;
+  c.use_scan_analysis = c.use_nns = false;
   c.seed = 5;
   return c;
 }
 
 EngineConfig enhanced_config() {
   EngineConfig c;
-  c.mode = EngineMode::kEnhanced;
   c.cluster.bits_per_feature = 48;  // faster tests
   c.seed = 5;
   return c;
@@ -288,16 +287,12 @@ TEST(EnhancedEngine, BasicModeCountersReconcile) {
   EXPECT_EQ(m.alerts_total->value(), sink.alerts().size());
 }
 
-TEST(EnhancedEngine, ExternalRegistryReceivesPipelineMetrics) {
-  obs::Registry registry;
-  EngineConfig config = basic_config();
-  config.registry = &registry;
-  InFilterEngine engine(config);
-  EXPECT_EQ(&engine.registry(), &registry);
+TEST(EnhancedEngine, RegistryReceivesPipelineMetrics) {
+  InFilterEngine engine(basic_config());
   engine.add_expected(kAs1, *net::Prefix::parse("3.0.0.0/11"));
   (void)engine.process(flow_from(ip("3.0.0.1")), kAs1, 1);
 
-  const auto snapshot = registry.snapshot();
+  const auto snapshot = engine.registry().snapshot();
   EXPECT_DOUBLE_EQ(snapshot.value("infilter_flows_total"), 1.0);
   EXPECT_DOUBLE_EQ(snapshot.value("infilter_verdict_legal_total"), 1.0);
   // Component pull-metrics are registered alongside the pipeline set.

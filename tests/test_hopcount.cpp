@@ -284,7 +284,7 @@ TEST(HopCountIo, RejectsCorruptBodies) {
 // engine that kept its state in memory, on an identical replay.
 TEST(HopCountIo, SaveLoadReplayMatchesLiveEngineVerdicts) {
   core::EngineConfig config;
-  config.mode = core::EngineMode::kBasic;  // no shared scan state to copy
+  config.use_scan_analysis = config.use_nns = false;  // no shared scan state to copy
   config.use_hopcount = true;
   config.hopcount.learn_threshold = 3;
 

@@ -204,7 +204,7 @@ TEST(IngestPipeline, TruncatedDatagramMidBatchKeepsSlotCorrespondence) {
   const auto port = (*pipeline)->ports()[0];
 
   std::vector<std::uint16_t> expected;
-  const std::vector<std::uint8_t> oversized(2 * config.slot_bytes, 0xEE);
+  const std::vector<std::uint8_t> oversized(2 * ingest::kSlotBytes, 0xEE);
   (*pipeline)->quiesce([&] {
     // The receiver is parked between batches, so everything sent inside
     // the quiesce window accumulates in the kernel queue and comes out in
@@ -541,7 +541,7 @@ TEST(IngestStress, MultiSocketMultiReceiverWithConcurrentQuiesce) {
   runtime::RuntimeConfig runtime_config;
   runtime_config.shards = 2;
   runtime_config.producers = 2;  // one slot per receiver thread
-  runtime_config.engine.mode = core::EngineMode::kBasic;  // no training needed
+  runtime_config.engine.use_scan_analysis = runtime_config.engine.use_nns = false;  // no training needed
   runtime::ShardedRuntime runtime(runtime_config);
 
   IngestConfig config;

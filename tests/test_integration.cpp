@@ -19,12 +19,10 @@ namespace infilter {
 namespace {
 
 using core::EngineConfig;
-using core::EngineMode;
 using core::InFilterEngine;
 
 EngineConfig engine_config() {
   EngineConfig config;
-  config.mode = EngineMode::kEnhanced;
   config.cluster.bits_per_feature = 48;
   config.seed = 77;
   return config;

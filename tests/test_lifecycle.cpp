@@ -13,12 +13,14 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/eia.h"
 #include "core/eia_io.h"
+#include "lifecycle/migrate.h"
 #include "runtime/runtime.h"
 #include "runtime_fixtures.h"
 #include "sim/soak.h"
@@ -335,6 +337,50 @@ TEST(LifecycleResize, MidStreamResizeSweepReplaysIdenticalAlertStream) {
   }
 }
 
+// The path infilter-detect's --dump-eia takes: a 4-shard pool's harvest,
+// installed into one fresh engine, exports exactly the bytes a serial
+// engine fed the same flows exports -- learned /24s and their age
+// metadata included. Harvest and export must compose, not just resize.
+TEST(LifecycleHarvest, FourShardImageExportsTheSerialEiaDump) {
+  auto config = small_testbed_config();
+  config.route_change_blocks = 8;  // moved prefixes the EIA rule learns
+  config.engine.eia.learn_threshold = 2;
+  config.engine.eia.lifecycle.max_idle_ms = 2000;
+  const ReplayFixture fx(config);
+  // The EIA half is all a dump reads; Basic InFilter needs no training.
+  core::EngineConfig engine = fx.engine;
+  engine.use_scan_analysis = engine.use_nns = false;
+
+  core::InFilterEngine serial(engine);
+  sim::preload_eia(fx.config, serial);
+  runtime::RuntimeConfig rc;
+  rc.shards = 4;
+  rc.engine = engine;
+  runtime::ShardedRuntime rt(rc);
+  sim::preload_eia(fx.config, rt);
+  const auto items = fx.items();
+  for (std::size_t at = 0; at < items.size(); at += 256) {
+    const std::size_t n = std::min<std::size_t>(256, items.size() - at);
+    rt.submit_batch(std::span(items).subspan(at, n));
+  }
+  rt.shutdown();
+  for (const auto& item : items) {
+    (void)serial.process(item.record, item.ingress, item.now);
+  }
+
+  std::vector<const core::InFilterEngine*> engines;
+  for (std::size_t s = 0; s < rt.shard_count(); ++s) {
+    engines.push_back(&rt.shard_engine(s));
+  }
+  core::InFilterEngine image(engine);
+  lifecycle::install_engine_state(lifecycle::harvest_engines(engines), image, 0, 1);
+
+  const std::string expected = core::export_eia(serial.eia());
+  ASSERT_GT(serial.eia().lifecycle_stats().entries_expired, 0u);  // aging fired
+  ASSERT_NE(expected.find("\nage "), std::string::npos);         // and learned
+  EXPECT_EQ(core::export_eia(image.eia()), expected);
+}
+
 // The race lane: resize(), flush(), and snapshot() hammered from the
 // control thread while producer threads submit -- nothing lost, nothing
 // double-counted, whatever interleaving the scheduler picks. Run under
@@ -348,7 +394,7 @@ TEST(LifecycleResize, ResizeFlushSnapshotRaceProducersSafely) {
   config.producers = kProducers;
   config.queue_depth = 64;
   config.backpressure = runtime::BackpressurePolicy::kBlock;
-  config.engine.mode = core::EngineMode::kBasic;
+  config.engine.use_scan_analysis = config.engine.use_nns = false;
   config.engine.eia.lifecycle.max_idle_ms = 50;  // churn mid-run too
   runtime::ShardedRuntime rt(config);
   std::atomic<int> live{kProducers};
@@ -377,7 +423,7 @@ TEST(LifecycleResize, ResizeFlushSnapshotRaceProducersSafely) {
 TEST(LifecycleResize, RejectsInvalidAndPostShutdownRequests) {
   runtime::RuntimeConfig config;
   config.shards = 2;
-  config.engine.mode = core::EngineMode::kBasic;
+  config.engine.use_scan_analysis = config.engine.use_nns = false;
   runtime::ShardedRuntime rt(config);
   EXPECT_FALSE(rt.resize(0));
   EXPECT_TRUE(rt.resize(2));  // same-size no-op succeeds

@@ -387,9 +387,9 @@ sim::ExperimentConfig tiny_config(std::uint64_t seed) {
 TEST_P(SeededProperty, BasicNeverHasFewerFalsePositivesThanEnhanced) {
   auto config = tiny_config(GetParam());
   config.route_change_blocks = 4;
-  config.engine.mode = core::EngineMode::kBasic;
+  config.engine.use_scan_analysis = config.engine.use_nns = false;
   const auto basic = sim::run_experiment(config);
-  config.engine.mode = core::EngineMode::kEnhanced;
+  config.engine.use_scan_analysis = config.engine.use_nns = true;
   const auto enhanced = sim::run_experiment(config);
   EXPECT_GE(basic.false_positive_rate(), enhanced.false_positive_rate());
   EXPECT_GE(basic.detection_rate(), enhanced.detection_rate());
@@ -397,7 +397,7 @@ TEST_P(SeededProperty, BasicNeverHasFewerFalsePositivesThanEnhanced) {
 
 TEST_P(SeededProperty, MoreDriftMoreBasicFalsePositives) {
   auto config = tiny_config(GetParam() ^ 0x666);
-  config.engine.mode = core::EngineMode::kBasic;
+  config.engine.use_scan_analysis = config.engine.use_nns = false;
   config.companion_fraction = 0;
   config.ingress_drift = 0.005;
   const auto low = sim::run_experiment(config);

@@ -358,7 +358,7 @@ TEST(ShardedRuntime, LiveSnapshotSkipsBusyShardsAndIsCompleteAfterFlush) {
   RuntimeConfig config;
   config.shards = 2;
   config.queue_depth = 64;
-  config.engine.mode = core::EngineMode::kBasic;
+  config.engine.use_scan_analysis = config.engine.use_nns = false;
   // A slow hook keeps workers mid-flow while the dispatcher snapshots.
   ShardedRuntime rt(config, nullptr,
                     [](const FlowItem&, const core::Verdict&) {
@@ -380,35 +380,12 @@ TEST(ShardedRuntime, LiveSnapshotSkipsBusyShardsAndIsCompleteAfterFlush) {
                    static_cast<double>(kFlows));
 }
 
-// `this`-capturing pull gauges must not land in a caller-supplied registry:
-// it can outlive the runtime, and a snapshot taken afterwards would call a
-// dangling callback. Value counters (plain instruments) do land there and
-// stay readable after the runtime dies.
-TEST(ShardedRuntime, ExternalRegistryOutlivesRuntimeWithoutDanglingPulls) {
-  obs::Registry registry;
-  {
-    RuntimeConfig config;
-    config.shards = 2;
-    config.engine.mode = core::EngineMode::kBasic;
-    config.registry = &registry;
-    ShardedRuntime rt(config);
-    EXPECT_TRUE(submit_one(rt, simple_flow(1), 9001, 1));
-    rt.shutdown();
-    // While alive, snapshot() still exposes the private pull gauges.
-    EXPECT_DOUBLE_EQ(rt.snapshot().value("infilter_runtime_shards"), 2.0);
-  }
-  const auto after = registry.snapshot();
-  EXPECT_DOUBLE_EQ(after.value("infilter_runtime_submitted_total"), 1.0);
-  EXPECT_EQ(after.find("infilter_runtime_shards"), nullptr);
-  EXPECT_EQ(after.find("infilter_runtime_queued"), nullptr);
-}
-
 TEST(ShardedRuntime, DropPolicyShedsAndCountsWhenRingsStayFull) {
   RuntimeConfig config;
   config.shards = 1;
   config.queue_depth = 2;
   config.backpressure = BackpressurePolicy::kDrop;
-  config.engine.mode = core::EngineMode::kBasic;
+  config.engine.use_scan_analysis = config.engine.use_nns = false;
   // A slow hook keeps the single worker busy so the tiny ring fills. It
   // records which tags reached a verdict: exactly the accepted ones.
   std::mutex hooked_mutex;
@@ -450,7 +427,7 @@ TEST(ShardedRuntime, BlockPolicyLosesNothingThroughTinyRings) {
   config.shards = 2;
   config.queue_depth = 2;
   config.backpressure = BackpressurePolicy::kBlock;
-  config.engine.mode = core::EngineMode::kBasic;
+  config.engine.use_scan_analysis = config.engine.use_nns = false;
   ShardedRuntime rt(config);
   constexpr std::uint64_t kFlows = 2000;
   for (std::uint32_t i = 0; i < kFlows; ++i) {
@@ -472,7 +449,6 @@ TEST(ShardedRuntime, FlushCompletesEveryInFlightSuspect) {
   config.shards = 4;
   config.queue_depth = 2;
   config.max_batch = 1;
-  config.engine.mode = core::EngineMode::kEnhanced;
   config.engine.use_scan_analysis = true;
   config.engine.use_nns = false;  // no training needed; scan still runs
   std::atomic<std::uint64_t> hooks{0};
@@ -508,7 +484,7 @@ TEST(ShardedRuntime, FlushCompletesEveryInFlightSuspect) {
 TEST(ShardedRuntime, ShutdownIsIdempotentAndRejectsLateSubmits) {
   RuntimeConfig config;
   config.shards = 2;
-  config.engine.mode = core::EngineMode::kBasic;
+  config.engine.use_scan_analysis = config.engine.use_nns = false;
   ShardedRuntime rt(config);
   EXPECT_TRUE(submit_one(rt, simple_flow(1), 9001, 1));
   rt.shutdown();
@@ -535,7 +511,7 @@ TEST(ShardedRuntime, MergeKeepsSeqStrictlyMonotonePerShard) {
   config.producers = kProducers;
   config.queue_depth = 32;
   config.backpressure = BackpressurePolicy::kBlock;
-  config.engine.mode = core::EngineMode::kBasic;
+  config.engine.use_scan_analysis = config.engine.use_nns = false;
   // Every flow is legal (the 0.0.0.0/0 preload below), so its verdict is
   // final on the owning worker and the hook fires there: one writer per
   // shard log, no lock needed, and each log is that worker's merge order.
@@ -762,7 +738,7 @@ TEST(ShardedRuntime, SnapshotAndFlushAreSafeWhileProducersSubmit) {
   config.producers = kProducers;
   config.queue_depth = 64;
   config.backpressure = BackpressurePolicy::kBlock;
-  config.engine.mode = core::EngineMode::kBasic;
+  config.engine.use_scan_analysis = config.engine.use_nns = false;
   ShardedRuntime rt(config);
   std::atomic<int> live{kProducers};
   auto producers = start_producers(rt, kProducers, kPerProducer, live);
@@ -824,7 +800,7 @@ TEST(ShardedRuntime, AlertsFromAllShardsArriveWithDenseIds) {
   RuntimeConfig config;
   config.shards = 4;
   config.queue_depth = 128;
-  config.engine.mode = core::EngineMode::kBasic;  // every flow alerts (no EIA)
+  config.engine.use_scan_analysis = config.engine.use_nns = false;  // every flow alerts (no EIA)
   alert::CollectingSink ui;
   ShardedRuntime rt(config, &ui);
   constexpr std::uint64_t kFlows = 500;

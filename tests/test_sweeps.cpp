@@ -177,7 +177,7 @@ TEST_P(RouteChangeLevels, BasicFalsePositivesTrackRouteChangeLevel) {
   sim::ExperimentConfig config;
   config.normal_flows_per_source = 1200;
   config.training_flows = 400;
-  config.engine.mode = core::EngineMode::kBasic;
+  config.engine.use_scan_analysis = config.engine.use_nns = false;
   config.companion_fraction = 0;
   config.ingress_drift = 0;
   config.route_change_blocks = GetParam();

@@ -19,7 +19,7 @@ ExperimentConfig small_config() {
 
 TEST(Testbed, BasicModeDetectsEveryInstance) {
   ExperimentConfig config = small_config();
-  config.engine.mode = core::EngineMode::kBasic;
+  config.engine.use_scan_analysis = config.engine.use_nns = false;
   const auto result = run_experiment(config);
   // Every attack flow is spoofed, so BI flags every instance
   // ("the detection rate stays flat at almost 100% for the Basic InFilter").
@@ -47,7 +47,7 @@ TEST(Testbed, NoDriftNoRouteChangeNoCompanionsMeansNoFalsePositives) {
   ExperimentConfig config = small_config();
   config.ingress_drift = 0;
   config.companion_fraction = 0;
-  config.engine.mode = core::EngineMode::kBasic;
+  config.engine.use_scan_analysis = config.engine.use_nns = false;
   const auto result = run_experiment(config);
   EXPECT_EQ(result.false_positives, 0u);
 }
@@ -56,7 +56,7 @@ TEST(Testbed, DriftCreatesBoundedFalsePositivesUnderBasic) {
   ExperimentConfig config = small_config();
   config.ingress_drift = 0.02;
   config.companion_fraction = 0;
-  config.engine.mode = core::EngineMode::kBasic;
+  config.engine.use_scan_analysis = config.engine.use_nns = false;
   const auto result = run_experiment(config);
   EXPECT_GT(result.false_positives, 0u);
   // FP rate is at most the drift level (auto-learning can only reduce it).
@@ -66,16 +66,16 @@ TEST(Testbed, DriftCreatesBoundedFalsePositivesUnderBasic) {
 TEST(Testbed, EnhancedReducesFalsePositivesVersusBasic) {
   ExperimentConfig config = small_config();
   config.route_change_blocks = 4;
-  config.engine.mode = core::EngineMode::kBasic;
+  config.engine.use_scan_analysis = config.engine.use_nns = false;
   const auto basic = run_experiment(config);
-  config.engine.mode = core::EngineMode::kEnhanced;
+  config.engine.use_scan_analysis = config.engine.use_nns = true;
   const auto enhanced = run_experiment(config);
   EXPECT_LT(enhanced.false_positive_rate(), basic.false_positive_rate());
 }
 
 TEST(Testbed, RouteChangeRaisesFalsePositives) {
   ExperimentConfig config = small_config();
-  config.engine.mode = core::EngineMode::kBasic;
+  config.engine.use_scan_analysis = config.engine.use_nns = false;
   config.ingress_drift = 0;
   config.companion_fraction = 0;
   config.route_change_blocks = 0;

@@ -163,11 +163,8 @@ TEST(Tracer, ChromeTraceJsonRebasesDrainsAndNamesThreads) {
   EXPECT_NE(empty.find("\"args\":{\"name\":\"recv-0\"}"), std::string::npos);
 }
 
-TEST(Tracer, RegistryExposesCountsRolesAndExternalValueMetrics) {
-  obs::Registry external;
-  TracerConfig config;
-  config.registry = &external;
-  Tracer tracer(config);
+TEST(Tracer, RegistryExposesCountsRolesAndValueMetrics) {
+  Tracer tracer;
   auto* a = tracer.register_thread("shard-0", "worker");
   tracer.register_thread("shard-1", "worker");
   tracer.register_thread("decode", "decode");
@@ -180,14 +177,8 @@ TEST(Tracer, RegistryExposesCountsRolesAndExternalValueMetrics) {
   EXPECT_DOUBLE_EQ(snap.value("infilter_pipeline_threads_decode"), 1.0);
   EXPECT_DOUBLE_EQ(snap.value("infilter_trace_events_total"), 1.0);
   EXPECT_DOUBLE_EQ(snap.value("infilter_trace_dropped_total"), 0.0);
-
-  // Value instruments live in the caller's registry; `this`-capturing pull
-  // gauges stay tracer-private (the external registry may outlive us).
-  const auto ext = external.snapshot();
-  ASSERT_NE(ext.histogram("infilter_e2e_latency_us"), nullptr);
-  EXPECT_EQ(ext.histogram("infilter_e2e_latency_us")->count, 1u);
-  EXPECT_EQ(ext.find("infilter_trace_threads"), nullptr);
-  EXPECT_EQ(ext.find("infilter_trace_events_total"), nullptr);
+  ASSERT_NE(snap.histogram("infilter_e2e_latency_us"), nullptr);
+  EXPECT_EQ(snap.histogram("infilter_e2e_latency_us")->count, 1u);
 
   a->retire();
   const auto after = tracer.snapshot();
@@ -314,7 +305,7 @@ TEST(TraceRuntime, SpanSumsMatchExportedE2eHistogram) {
   runtime::RuntimeConfig config;
   config.shards = 2;
   config.queue_depth = 1024;
-  config.engine.mode = core::EngineMode::kBasic;
+  config.engine.use_scan_analysis = config.engine.use_nns = false;
   config.tracer = &tracer;
   constexpr std::uint64_t kFlows = 500;
   {
@@ -379,7 +370,7 @@ TEST(TraceRuntime, SamplingKeysOnTagNotInternalSequence) {
   runtime::RuntimeConfig config;
   config.shards = 2;
   config.queue_depth = 1024;
-  config.engine.mode = core::EngineMode::kBasic;
+  config.engine.use_scan_analysis = config.engine.use_nns = false;
   config.tracer = &tracer;
   runtime::ShardedRuntime rt(config);
   rt.add_expected(9001, *net::Prefix::parse("0.0.0.0/0"));  // legal: 2 spans each
@@ -414,7 +405,6 @@ TEST(TraceRuntime, ScanStageJourneysTileAcrossAllFourSpans) {
   runtime::RuntimeConfig config;
   config.shards = 2;
   config.queue_depth = 256;
-  config.engine.mode = core::EngineMode::kEnhanced;
   config.engine.use_scan_analysis = true;
   config.engine.use_nns = false;  // no training needed; scan still runs
   config.tracer = &tracer;
@@ -467,7 +457,7 @@ TEST(TraceRuntime, SnapshotsAndScansConcurrentWithTraceWriters) {
   runtime::RuntimeConfig config;
   config.shards = 2;
   config.queue_depth = 64;
-  config.engine.mode = core::EngineMode::kBasic;
+  config.engine.use_scan_analysis = config.engine.use_nns = false;
   config.tracer = &tracer;
   runtime::ShardedRuntime rt(config, nullptr,
                              [](const runtime::FlowItem&, const core::Verdict&) {
@@ -502,7 +492,7 @@ TEST(TraceRuntime, DisabledTracerEmitsNoSpansButKeepsLiveness) {
   Tracer tracer;  // enabled = false
   runtime::RuntimeConfig config;
   config.shards = 2;
-  config.engine.mode = core::EngineMode::kBasic;
+  config.engine.use_scan_analysis = config.engine.use_nns = false;
   config.tracer = &tracer;
   runtime::ShardedRuntime rt(config);
   for (std::uint32_t i = 0; i < 300; ++i) {

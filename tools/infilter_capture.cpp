@@ -11,6 +11,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 
 #include "flowtools/ascii.h"
 #include "flowtools/udp.h"
@@ -28,35 +29,34 @@ int fail(const std::string& message) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto parsed = util::Args::parse(argc, argv, {"ascii"});
+  const auto parsed =
+      util::Args::parse(argc, argv, {"ascii"}, {"flows", "out", "ports", "timeout-ms"});
   if (!parsed) return fail(parsed.error().message);
   const auto& args = *parsed;
   const auto out_path = args.value("out");
   if (!out_path.has_value()) return fail("--out FILE is required");
 
-  std::vector<std::uint16_t> ports;
-  {
-    const std::string spec = args.value_or("ports", "9001,9002,9003,9004,9005,"
-                                                    "9006,9007,9008,9009,9010");
-    std::size_t at = 0;
-    while (at <= spec.size()) {
-      const auto comma = spec.find(',', at);
-      const auto token =
-          spec.substr(at, comma == std::string::npos ? std::string::npos : comma - at);
-      ports.push_back(static_cast<std::uint16_t>(std::strtoul(token.c_str(), nullptr, 10)));
-      if (comma == std::string::npos) break;
-      at = comma + 1;
-    }
+  std::vector<std::uint16_t> ports{9001, 9002, 9003, 9004, 9005,
+                                   9006, 9007, 9008, 9009, 9010};
+  if (args.has("ports")) {
+    const auto parsed_ports = args.checked_int_list("ports", 0, 65535);
+    if (!parsed_ports) return fail(parsed_ports.error().message);
+    ports.assign(parsed_ports->begin(), parsed_ports->end());
   }
+
+  const auto target = args.checked_int("flows", 1000, 1);
+  if (!target) return fail(target.error().message);
+  const auto timeout =
+      args.checked_int("timeout-ms", 10000, 1, std::numeric_limits<int>::max());
+  if (!timeout) return fail(timeout.error().message);
 
   auto collector = flowtools::LiveCollector::bind(ports);
   if (!collector) return fail(collector.error().message);
   std::printf("listening on %zu port(s); first is %u\n", ports.size(),
               collector->ports().front());
 
-  const auto target = static_cast<std::size_t>(args.int_or("flows", 1000));
-  const int timeout = static_cast<int>(args.int_or("timeout-ms", 10000));
-  const auto collected = collector->collect(target, timeout);
+  const auto collected = collector->collect(static_cast<std::size_t>(*target),
+                                            static_cast<int>(*timeout));
   if (!collected) return fail(collected.error().message);
 
   const auto& capture = collector->capture();

@@ -20,15 +20,16 @@
 //                                         # (src/lifecycle; 0 = off)
 //                   [--resize-shards N]   # live-resize the runtime to N
 //                                         # shards halfway through the
-//                                         # replay (requires --threads)
-//                   [--threads N]         # 0 (default) = serial engine;
-//                                         # N >= 1 = sharded runtime
+//                                         # replay
+//                   [--threads N]         # sharded-runtime worker shards
+//                                         # (default 1 = one engine in
+//                                         # capture order; N in [1, 4096])
 //                   [--ingest-threads N]  # N >= 1 replays the capture over
 //                                         # loopback UDP through the receiver-
 //                                         # direct ingest pipeline (src/ingest):
 //                                         # each receiver decodes inline and
 //                                         # dispatches as its own runtime
-//                                         # producer; implies --threads >= 1
+//                                         # producer
 //                   [--cpu-set LIST]      # pin pipeline threads, e.g. "0-3,8":
 //                                         # receivers first, then shard
 //                                         # workers, then the scan thread
@@ -59,6 +60,7 @@
 #include "flowtools/capture.h"
 #include "flowtools/udp.h"
 #include "ingest/ingest.h"
+#include "lifecycle/migrate.h"
 #include "obs/export.h"
 #include "obs/process.h"
 #include "obs/trace.h"
@@ -106,7 +108,7 @@ int main(int argc, char** argv) {
 
   core::EngineConfig config;
   const auto mode = args.value_or("mode", "enhanced");
-  if (mode == "basic") config.mode = core::EngineMode::kBasic;
+  if (mode == "basic") config.use_scan_analysis = config.use_nns = false;
   else if (mode != "enhanced") return fail("--mode must be basic or enhanced");
   // Validated numerics: a typo'd or out-of-range value must fail with a
   // message, not wrap into RuntimeConfig/EngineConfig and misbehave there.
@@ -132,20 +134,15 @@ int main(int argc, char** argv) {
   if (!seed) return fail(seed.error().message);
   config.seed = static_cast<std::uint64_t>(*seed);
 
-  const auto threads_arg = args.checked_int("threads", 0, 0, 4096);
+  const auto threads_arg = args.checked_int("threads", 1, 1, 4096);
   if (!threads_arg) return fail(threads_arg.error().message);
+  const int threads = static_cast<int>(*threads_arg);
   const auto ingest_arg = args.checked_int("ingest-threads", 0, 0, 4096);
   if (!ingest_arg) return fail(ingest_arg.error().message);
   const int ingest_threads = static_cast<int>(*ingest_arg);
-  // Threaded ingest dispatches into a runtime; force at least one shard.
-  const int threads = ingest_threads > 0 ? std::max(1, static_cast<int>(*threads_arg))
-                                         : static_cast<int>(*threads_arg);
   const auto resize_arg = args.checked_int("resize-shards", 0, 0, 4096);
   if (!resize_arg) return fail(resize_arg.error().message);
   const int resize_shards = static_cast<int>(*resize_arg);
-  if (resize_shards > 0 && threads == 0) {
-    return fail("--resize-shards requires the sharded runtime (--threads >= 1)");
-  }
   // Distinct arrival ports, in capture order: the ingest replay binds one
   // loopback socket per port, and the receiver count is capped by them.
   std::vector<core::IngressId> ingresses;
@@ -188,7 +185,7 @@ int main(int argc, char** argv) {
   }
 
   // Flight recorder: either --trace-* flag turns it on. Declared before the
-  // engine/runtime so it outlives them (lanes are retired, not destroyed).
+  // runtime so it outlives it (lanes are retired, not destroyed).
   const auto trace_out = args.value("trace-out");
   const auto trace_sample = args.checked_int("trace-sample", 64, 1, 1 << 30);
   if (!trace_sample) return fail(trace_sample.error().message);
@@ -201,36 +198,19 @@ int main(int argc, char** argv) {
     runtime_config.tracer = &*tracer;
   }
 
-  if (threads > 0 && args.value("dump-eia")) {
-    // Auto-learned entries are spread over the shard tables; there is no
-    // single EIA set to persist. Re-run serially to dump.
-    return fail("--dump-eia requires the serial engine (--threads 0)");
-  }
-
   alert::CollectingSink ui;
   core::TracebackEngine traceback(core::TracebackConfig{}, &ui);
-  std::optional<core::InFilterEngine> engine;
-  std::optional<runtime::ShardedRuntime> rt;
   // Filled by the ingest replay before the pipeline is torn down, so the
   // infilter_ingest_* counters survive into the metrics export below.
   std::optional<obs::RegistrySnapshot> ingest_snapshot;
-  std::atomic<std::uint64_t> rt_suspects{0};
-  std::atomic<std::uint64_t> rt_attacks{0};
-  if (threads > 0) {
-    rt.emplace(runtime_config, &traceback,
-               [&](const runtime::FlowItem&, const core::Verdict& verdict) {
-                 if (verdict.suspect)
-                   rt_suspects.fetch_add(1, std::memory_order_relaxed);
-                 if (verdict.attack)
-                   rt_attacks.fetch_add(1, std::memory_order_relaxed);
-               });
-  } else {
-    engine.emplace(config, &traceback);
-  }
-  const auto add_expected = [&](core::IngressId ingress, const net::Prefix& prefix) {
-    if (rt) rt->add_expected(ingress, prefix);
-    else engine->add_expected(ingress, prefix);
-  };
+  std::atomic<std::uint64_t> suspects{0};
+  std::atomic<std::uint64_t> attacks{0};
+  runtime::ShardedRuntime rt(
+      runtime_config, &traceback,
+      [&](const runtime::FlowItem&, const core::Verdict& verdict) {
+        if (verdict.suspect) suspects.fetch_add(1, std::memory_order_relaxed);
+        if (verdict.attack) attacks.fetch_add(1, std::memory_order_relaxed);
+      });
 
   // EIA preloads: a text config if given, otherwise the Table 3 defaults.
   if (const auto eia_path = args.value("eia")) {
@@ -242,7 +222,7 @@ int main(int argc, char** argv) {
     if (!imported) return fail(imported.error().message);
     for (const auto ingress : imported->ingresses()) {
       for (const auto& prefix : imported->set_for(ingress)->to_cidrs()) {
-        add_expected(ingress, prefix);
+        rt.add_expected(ingress, prefix);
       }
     }
     std::printf("loaded EIA sets for %zu ingress points from %s\n",
@@ -250,12 +230,12 @@ int main(int argc, char** argv) {
   } else {
     for (int s = 0; s < 10; ++s) {
       for (const auto& block : dagflow::eia_range(s).expand()) {
-        add_expected(static_cast<core::IngressId>(9001 + s), block.prefix());
+        rt.add_expected(static_cast<core::IngressId>(9001 + s), block.prefix());
       }
     }
   }
 
-  if (config.mode == core::EngineMode::kEnhanced) {
+  if (config.use_nns) {
     const auto train_path = args.value("train");
     if (!train_path.has_value()) {
       return fail("--train TRAIN_FILE is required in enhanced mode");
@@ -265,16 +245,12 @@ int main(int argc, char** argv) {
     std::vector<netflow::V5Record> records;
     records.reserve(training->size());
     for (const auto& flow : *training) records.push_back(flow.record);
-    if (rt) rt->train(records);
-    else engine->train(records);
-    const auto& clusters = rt ? rt->scan_engine().clusters() : engine->clusters();
+    rt.train(records);
     std::printf("trained on %zu flows (d = %d)\n", records.size(),
-                clusters->dimension());
+                rt.scan_engine().clusters()->dimension());
   }
 
-  std::uint64_t attacks = 0;
-  std::uint64_t suspects = 0;
-  if (rt && ingest_threads > 0) {
+  if (ingest_threads > 0) {
     // Loopback replay through the full live path: re-encode the capture
     // into v5 export datagrams, send them over UDP, and let the receiver
     // threads decode inline and dispatch straight into the runtime (each
@@ -288,7 +264,7 @@ int main(int argc, char** argv) {
     ingest_config.receiver_threads = ingest_threads;
     ingest_config.cpu_set = runtime_config.cpu_set;  // receivers: slots 0..R-1
     if (tracer) ingest_config.tracer = &*tracer;
-    auto pipeline = ingest::IngestPipeline::create(ingest_config, *rt);
+    auto pipeline = ingest::IngestPipeline::create(ingest_config, rt);
     if (!pipeline) return fail(pipeline.error().message);
     const auto bound = (*pipeline)->ports();
     auto sender = flowtools::UdpSender::create();
@@ -307,7 +283,7 @@ int main(int argc, char** argv) {
       if (!resized && resize_shards > 0 && at >= flows->size() / 2) {
         // The main thread is not a producer, so the exclusive-gate resize
         // simply stalls the receivers' dispatches for its duration.
-        resized = rt->resize(resize_shards);
+        resized = rt.resize(resize_shards);
         if (resized) {
           std::printf("resized runtime to %d shard(s) mid-replay\n",
                       resize_shards);
@@ -344,7 +320,7 @@ int main(int argc, char** argv) {
       last_received = received;
     }
     (*pipeline)->stop();  // phase 1: decode + dispatch everything accepted
-    rt->shutdown();       // phase 2: drain the shards and join
+    rt.shutdown();        // phase 2: drain the shards and join
     ingest_snapshot = (*pipeline)->snapshot();
     const auto ingest_stats = (*pipeline)->stats();
     std::printf(
@@ -355,9 +331,7 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(ingest_stats.records_dispatched),
         static_cast<unsigned long long>(ingest_stats.kernel_drops),
         static_cast<unsigned long long>(ingest_stats.sequence_gaps));
-    suspects = rt_suspects.load(std::memory_order_relaxed);
-    attacks = rt_attacks.load(std::memory_order_relaxed);
-  } else if (rt) {
+  } else {
     // Tags 1..n are the journey ids in the trace export. Batches never
     // straddle flow n/2, where --resize-shards resizes the pool.
     std::vector<runtime::FlowItem> items;
@@ -370,51 +344,24 @@ int main(int argc, char** argv) {
     const std::size_t resize_at =
         resize_shards > 0 ? items.size() / 2 : items.size() + 1;
     for (std::size_t at = 0; at < items.size();) {
-      if (at == resize_at && rt->resize(resize_shards)) {
+      if (at == resize_at && rt.resize(resize_shards)) {
         std::printf("resized runtime to %d shard(s) mid-replay\n",
                     resize_shards);
       }
       const std::size_t stop = at < resize_at ? resize_at : items.size();
       const std::size_t n = std::min({kSubmitBatch, items.size() - at, stop - at});
-      rt->submit_batch(std::span(items).subspan(at, n));
+      rt.submit_batch(std::span(items).subspan(at, n));
       at += n;
     }
     // Drain and join: every counter and the merged snapshot become final.
-    rt->shutdown();
-    suspects = rt_suspects.load(std::memory_order_relaxed);
-    attacks = rt_attacks.load(std::memory_order_relaxed);
-  } else {
-    // Serial engine: one logical pipeline thread. A sampled flow's whole
-    // journey is a single `serial` span.
-    obs::ThreadLane* lane =
-        tracer ? tracer->register_thread("main", "serial") : nullptr;
-    std::uint64_t seq = 0;
-    for (const auto& flow : *flows) {
-      core::Verdict verdict;
-      ++seq;
-      if (lane != nullptr && tracer->sampled(seq)) {
-        const auto t0 = obs::Tracer::now_ns();
-        verdict = engine->process(flow.record, flow.arrival_port, flow.record.last);
-        const auto t1 = obs::Tracer::now_ns();
-        lane->emit(obs::SpanKind::kSerial, t0, t1 - t0, seq);
-        tracer->e2e_us->observe(static_cast<double>(t1 - t0) / 1000.0);
-      } else {
-        verdict = engine->process(flow.record, flow.arrival_port, flow.record.last);
-      }
-      suspects += verdict.suspect ? 1 : 0;
-      attacks += verdict.attack ? 1 : 0;
-    }
-    if (lane != nullptr) {
-      lane->heartbeat(flows->size());
-      lane->retire();
-    }
+    rt.shutdown();
   }
 
   std::printf("%zu flows analyzed: %llu suspects, %llu flagged as attacks\n",
-              flows->size(), static_cast<unsigned long long>(suspects),
-              static_cast<unsigned long long>(attacks));
+              flows->size(), static_cast<unsigned long long>(suspects.load()),
+              static_cast<unsigned long long>(attacks.load()));
   {
-    auto snapshot = rt ? rt->snapshot() : engine->registry().snapshot();
+    auto snapshot = rt.snapshot();
     if (ingest_snapshot) {
       snapshot = obs::merge_snapshots({snapshot, *ingest_snapshot});
     }
@@ -427,14 +374,12 @@ int main(int argc, char** argv) {
                                              process_registry.snapshot()};
     if (tracer) parts.push_back(tracer->snapshot());
     snapshot = obs::merge_snapshots(parts);
-    if (rt) {
-      std::printf(
-          "runtime: %d shard(s), %.0f dispatched batches, %.0f dropped, "
-          "%.0f backpressure waits\n",
-          threads, snapshot.value("infilter_runtime_batches_total"),
-          snapshot.value("infilter_runtime_dropped_total"),
-          snapshot.value("infilter_runtime_backpressure_waits_total"));
-    }
+    std::printf(
+        "runtime: %d shard(s), %.0f dispatched batches, %.0f dropped, "
+        "%.0f backpressure waits\n",
+        threads, snapshot.value("infilter_runtime_batches_total"),
+        snapshot.value("infilter_runtime_dropped_total"),
+        snapshot.value("infilter_runtime_backpressure_waits_total"));
     if (const double resizes =
             snapshot.value("infilter_lifecycle_resizes_total");
         config.eia.lifecycle.enabled() || resizes > 0) {
@@ -490,11 +435,19 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Persist the post-run EIA sets (including anything auto-learned).
+  // Persist the post-run EIA sets (including anything auto-learned). The
+  // learned state is spread over the shard engines; the resize harvest
+  // folds it into the one image a single engine would hold.
   if (const auto dump_path = args.value("dump-eia")) {
     std::ofstream out(*dump_path);
     if (!out) return fail("cannot open " + *dump_path);
-    out << core::export_eia(engine->eia());
+    std::vector<const core::InFilterEngine*> engines;
+    for (std::size_t s = 0; s < rt.shard_count(); ++s) {
+      engines.push_back(&rt.shard_engine(s));
+    }
+    core::InFilterEngine image(config);
+    lifecycle::install_engine_state(lifecycle::harvest_engines(engines), image, 0, 1);
+    out << core::export_eia(image.eia());
     std::printf("wrote EIA sets to %s\n", dump_path->c_str());
   }
   return 0;

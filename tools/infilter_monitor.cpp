@@ -114,7 +114,8 @@ int main(int argc, char** argv) {
     config.ports.assign(ports->begin(), ports->end());
   }
   const auto mode = args.value_or("mode", "enhanced");
-  if (mode == "basic") config.engine.mode = core::EngineMode::kBasic;
+  if (mode == "basic") config.engine.use_scan_analysis = config.engine.use_nns = false;
+  else if (mode != "enhanced") return fail("--mode must be basic or enhanced");
   const auto max_idle = args.checked_int("eia-max-idle", 0, 0,
                                          std::numeric_limits<std::int64_t>::max());
   if (!max_idle) return fail(max_idle.error().message);
@@ -187,7 +188,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (config.engine.mode == core::EngineMode::kEnhanced) {
+  if (config.engine.use_nns) {
     const auto train_path = args.value("train");
     if (!train_path.has_value()) return fail("--train is required in enhanced mode");
     flowtools::FlowCapture training;
