@@ -68,18 +68,18 @@ struct SweepRow {
 
 /// Checks is_expected against ground truth over `probes` addresses (an
 /// untimed pass that also warms the structure), then times a second pass.
-void measure_lookups(const core::EiaTable& table, std::uint64_t seed,
+void measure_lookups(core::EiaTable& table, std::uint64_t seed,
                      std::uint64_t probes, SweepRow& row) {
   for (std::uint64_t i = 0; i < probes; ++i) {
     const auto ip = probe_address(seed, i);
     const bool truth = in_universe(seed, ip.value() >> 8, row.scale);
-    row.wrong_answers += table.is_expected(kIngress, ip) != truth ? 1 : 0;
+    row.wrong_answers += table.is_expected(kIngress, ip, 0) != truth ? 1 : 0;
   }
 
   std::uint64_t hits = 0;
   const auto start = std::chrono::steady_clock::now();
   for (std::uint64_t i = 0; i < probes; ++i) {
-    hits += table.is_expected(kIngress, probe_address(seed, i)) ? 1 : 0;
+    hits += table.is_expected(kIngress, probe_address(seed, i), 0) ? 1 : 0;
   }
   const auto elapsed = std::chrono::steady_clock::now() - start;
   row.hit_ratio = static_cast<double>(hits) / static_cast<double>(probes);
@@ -130,7 +130,7 @@ int main(int argc, char** argv) {
   for (const std::uint64_t scale : scales) {
     SweepRow row;
     row.scale = scale;
-    const core::EiaTable table = build_table(seed, scale, &row.learned);
+    core::EiaTable table = build_table(seed, scale, &row.learned);
     row.ranges = table.total_ranges();
     row.memory_bytes = table.memory_bytes();
     measure_lookups(table, seed, probes, row);

@@ -156,7 +156,7 @@ void BM_eia_lookup(benchmark::State& state) {
   }
   const auto address = *net::IPv4Address::parse("3.1.2.3");
   for (auto _ : state) {
-    benchmark::DoNotOptimize(table.is_expected(9001, address));
+    benchmark::DoNotOptimize(table.is_expected(9001, address, 0));
   }
 }
 BENCHMARK(BM_eia_lookup);

@@ -49,7 +49,8 @@ int main() {
   std::printf("  e.g. traffic from AS%d enters via peer AS%d; EIA check: %s\n\n",
               topology.as_number(probe), topology.as_number(peer),
               eia.is_expected(static_cast<core::IngressId>(peer),
-                              net::IPv4Address{20, static_cast<std::uint8_t>(probe), 1, 1})
+                              net::IPv4Address{20, static_cast<std::uint8_t>(probe), 1, 1},
+                              0)
                   ? "expected"
                   : "NOT expected");
 

@@ -136,19 +136,6 @@ void EiaTable::add_expected(IngressId ingress, const net::Prefix& prefix) {
 
 void EiaTable::declare_ingress(IngressId ingress) { (void)set_ref(ingress); }
 
-bool EiaTable::is_expected(IngressId ingress, net::IPv4Address source) const {
-  ++stats_.lookups;
-  const EiaSet* set = set_for(ingress);
-  return set != nullptr && set->contains(source);
-}
-
-std::optional<IngressId> EiaTable::expected_ingress(net::IPv4Address source) const {
-  for (const auto& [ingress, set] : sets_) {
-    if (set.contains(source)) return ingress;
-  }
-  return std::nullopt;
-}
-
 std::vector<IngressId> EiaTable::ingresses() const {
   std::vector<IngressId> out;
   out.reserve(sets_.size());
@@ -174,7 +161,8 @@ std::size_t EiaTable::pending_counters() const {
   return total;
 }
 
-bool EiaTable::observe_mismatch(IngressId ingress, net::IPv4Address source) {
+bool EiaTable::observe_mismatch(IngressId ingress, net::IPv4Address source,
+                                util::TimeMs now) {
   const std::uint32_t key24 = source.value() & 0xFFFFFF00u;
   const std::uint64_t key = (std::uint64_t{ingress} << 32) | key24;
   // Bank by the /24's shard hash (the exact function the runtime's
@@ -209,12 +197,15 @@ bool EiaTable::observe_mismatch(IngressId ingress, net::IPv4Address source) {
     }
     it = bank.emplace(key, 0).first;
   }
-  if (++it->second >= config_.learn_threshold) {
-    set_ref(ingress).add(net::Prefix{source, 24});
-    bank.erase(it);
-    return true;
+  if (++it->second < config_.learn_threshold) return false;
+  set_ref(ingress).add(net::Prefix{source, 24});
+  bank.erase(it);
+  if (aging_enabled()) {
+    auto& age = age_[key];
+    if (age.expired) ++lifecycle_stats_.entries_relearned;
+    age = lifecycle::EntryAge{.learned_at = now, .last_seen = now, .expired = false};
   }
-  return false;
+  return true;
 }
 
 // -- Lifecycle aging (src/lifecycle) --------------------------------------
@@ -235,12 +226,13 @@ bool EiaTable::expire_if_idle(IngressId ingress, std::uint32_t key24,
 
 bool EiaTable::is_expected(IngressId ingress, net::IPv4Address source,
                            util::TimeMs now) {
-  if (!aging_enabled()) return is_expected(ingress, source);
+  ++stats_.lookups;
+  if (!aging_enabled()) return member(ingress, source);
   auto it = age_.find(age_key(ingress, source));
   if (it != age_.end()) {
     expire_if_idle(ingress, source.value() & 0xFFFFFF00u, it->second, now);
   }
-  const bool hit = is_expected(ingress, source);
+  const bool hit = member(ingress, source);
   if (hit && it != age_.end() && !it->second.expired &&
       now > it->second.last_seen) {
     it->second.last_seen = now;
@@ -251,30 +243,21 @@ bool EiaTable::is_expected(IngressId ingress, net::IPv4Address source,
 
 std::optional<IngressId> EiaTable::expected_ingress(net::IPv4Address source,
                                                     util::TimeMs now) {
-  if (!aging_enabled()) return expected_ingress(source);
-  const std::uint32_t key24 = source.value() & 0xFFFFFF00u;
+  if (aging_enabled()) {
+    const std::uint32_t key24 = source.value() & 0xFFFFFF00u;
+    for (const auto& [ingress, set] : sets_) {
+      auto it = age_.find((std::uint64_t{ingress} << 32) | key24);
+      if (it != age_.end()) expire_if_idle(ingress, key24, it->second, now);
+    }
+  }
   for (const auto& [ingress, set] : sets_) {
-    auto it = age_.find((std::uint64_t{ingress} << 32) | key24);
-    if (it != age_.end()) expire_if_idle(ingress, key24, it->second, now);
+    if (set.contains(source)) return ingress;
   }
-  return expected_ingress(source);
-}
-
-bool EiaTable::observe_mismatch(IngressId ingress, net::IPv4Address source,
-                                util::TimeMs now) {
-  if (!aging_enabled()) return observe_mismatch(ingress, source);
-  const bool learned = observe_mismatch(ingress, source);
-  if (learned) {
-    auto& age = age_[age_key(ingress, source)];
-    if (age.expired) ++lifecycle_stats_.entries_relearned;
-    age = lifecycle::EntryAge{.learned_at = now, .last_seen = now, .expired = false};
-  }
-  return learned;
+  return std::nullopt;
 }
 
 std::size_t EiaTable::age_sweep(util::TimeMs now) {
   if (!aging_enabled()) return 0;
-  ++lifecycle_stats_.sweeps;
   std::size_t expired = 0;
   for (auto& [key, age] : age_) {
     const auto ingress = static_cast<IngressId>(key >> 32);
@@ -282,25 +265,6 @@ std::size_t EiaTable::age_sweep(util::TimeMs now) {
     if (expire_if_idle(ingress, key24, age, now)) ++expired;
   }
   return expired;
-}
-
-std::optional<lifecycle::EntryState> EiaTable::entry_state(
-    IngressId ingress, net::IPv4Address source, util::TimeMs now) const {
-  const std::uint32_t key24 = source.value() & 0xFFFFFF00u;
-  const std::uint64_t key = age_key(ingress, source);
-  if (pending_[util::SplitMix64{key24}.next() % kPendingBanks].contains(key)) {
-    return lifecycle::EntryState::kLearning;
-  }
-  if (auto it = age_.find(key); it != age_.end()) {
-    if (it->second.expired) return lifecycle::EntryState::kExpired;
-    if (!aging_enabled()) return lifecycle::EntryState::kEstablished;
-    return lifecycle::idle_state(it->second.last_seen, now, config_.lifecycle);
-  }
-  // Membership with no age metadata is a preload: established forever.
-  if (const EiaSet* set = set_for(ingress); set != nullptr && set->contains(source)) {
-    return lifecycle::EntryState::kEstablished;
-  }
-  return std::nullopt;
 }
 
 std::vector<EiaTable::AgedEntry> EiaTable::aged_entries() const {

@@ -107,39 +107,32 @@ class EiaTable {
   /// Ensures `ingress` has an (initially empty) EIA set.
   void declare_ingress(IngressId ingress);
 
-  /// Basic InFilter check: does `ingress` expect this source?
-  [[nodiscard]] bool is_expected(IngressId ingress, net::IPv4Address source) const;
-
-  /// Aging-aware check: with lifecycle aging enabled, first expires the
-  /// (ingress, source /24) entry if it has idled past max_idle_ms of the
-  /// flow-carried virtual time (membership removed, tombstone kept so a
-  /// later relearn is counted), then refreshes last_seen on a hit. With
-  /// aging off this is exactly the const overload -- bit-identical.
-  /// Expiry is lazy and per-key (see lifecycle/lifecycle.h for why that
-  /// preserves the serial-replay contract).
+  /// Basic InFilter check: does `ingress` expect this source? With
+  /// lifecycle aging enabled, first expires the (ingress, source /24)
+  /// entry if it has idled past max_idle_ms of the flow-carried virtual
+  /// time (membership removed, tombstone kept so a later relearn is
+  /// counted), then refreshes last_seen on a hit. With aging off `now` is
+  /// unused and this is a plain membership test. Expiry is lazy and
+  /// per-key (see lifecycle/lifecycle.h for why that preserves the
+  /// serial-replay contract).
   [[nodiscard]] bool is_expected(IngressId ingress, net::IPv4Address source,
                                  util::TimeMs now);
 
   /// The ingress whose EIA set contains `source` (AS_IP(phi) of Section
   /// 5.2), or nullopt if no EIA set contains it. When several match, the
-  /// lowest ingress id wins (deterministic).
-  [[nodiscard]] std::optional<IngressId> expected_ingress(net::IPv4Address source) const;
-
-  /// Aging-aware variant: expires the source's idled entries at every
-  /// ingress first (no refresh -- a /24 seen only at *other* ingresses is
-  /// exactly the drift aging exists to forget). Identical to the const
-  /// overload with aging off. Allocation-free: walks the sets in place.
+  /// lowest ingress id wins (deterministic). With aging enabled, first
+  /// expires the source's idled entries at every ingress (no refresh -- a
+  /// /24 seen only at *other* ingresses is exactly the drift aging exists
+  /// to forget). Allocation-free: walks the sets in place.
   [[nodiscard]] std::optional<IngressId> expected_ingress(net::IPv4Address source,
                                                           util::TimeMs now);
 
   /// Records a flow that failed the check. Once learn_threshold flows from
   /// the same source /24 arrive at the same ingress, the /24 is added to
   /// that ingress's EIA set. Returns true when this call learned the /24.
-  bool observe_mismatch(IngressId ingress, net::IPv4Address source);
-
-  /// Aging-aware variant: on a learn, stamps the entry's age metadata
+  /// With aging enabled, a learn also stamps the entry's age metadata
   /// (learned_at = last_seen = now) and counts a relearn when the key had
-  /// previously expired. Identical to the plain overload with aging off.
+  /// previously expired.
   bool observe_mismatch(IngressId ingress, net::IPv4Address source,
                         util::TimeMs now);
 
@@ -152,12 +145,6 @@ class EiaTable {
 
   /// True when entry aging is active.
   [[nodiscard]] bool aging_enabled() const { return config_.lifecycle.enabled(); }
-
-  /// State of the (ingress, source /24) entry at `now`, or nullopt for
-  /// keys the table knows nothing about. Preloaded (operator-provisioned)
-  /// members report kEstablished forever.
-  [[nodiscard]] std::optional<lifecycle::EntryState> entry_state(
-      IngressId ingress, net::IPv4Address source, util::TimeMs now) const;
 
   [[nodiscard]] const lifecycle::LifecycleStats& lifecycle_stats() const {
     return lifecycle_stats_;
@@ -213,6 +200,11 @@ class EiaTable {
   static std::uint64_t age_key(IngressId ingress, net::IPv4Address source) {
     return (std::uint64_t{ingress} << 32) | (source.value() & 0xFFFFFF00u);
   }
+  /// Plain membership test, no aging and no stats.
+  [[nodiscard]] bool member(IngressId ingress, net::IPv4Address source) const {
+    const EiaSet* set = set_for(ingress);
+    return set != nullptr && set->contains(source);
+  }
   /// Expires the entry behind `age` if it has idled out at `now`:
   /// membership removed, tombstone kept. Returns true when it did.
   bool expire_if_idle(IngressId ingress, std::uint32_t key24,
@@ -221,8 +213,7 @@ class EiaTable {
   EiaTableConfig config_;
   /// Sorted by ingress id; one entry per peer AS.
   std::vector<SetEntry> sets_;
-  /// Mutable: is_expected() is logically const but counts its lookups.
-  mutable EiaStats stats_;
+  EiaStats stats_;
   /// (ingress << 32 | source /24) -> observed mismatch count, banked by
   /// the /24's shard hash.
   std::array<PendingMap, kPendingBanks> pending_;

@@ -42,13 +42,12 @@ std::vector<std::string_view> tokens_of(std::string_view line) {
 /// age lines. Both appear only when age metadata exists, so a table that
 /// never aged exports byte-identically to the historical format (the
 /// round-trip tests pin it); legacy dumps without them load with every
-/// entry fresh/established. The directive precedes the state lines --
-/// import honors it, overriding the caller's configured policy so a
-/// reload resumes the exported aging behavior.
+/// member treated as a never-aging preload. The directive precedes the
+/// state lines -- import honors it, overriding the caller's configured
+/// policy so a reload resumes the exported aging behavior.
 void append_lifecycle_directive(std::string& out, const EiaTable& table) {
   const lifecycle::LifecycleConfig& policy = table.config().lifecycle;
-  out += "lifecycle v1 max_idle=" + std::to_string(policy.max_idle_ms) +
-         " stale_after=" + std::to_string(policy.stale_after_ms) + "\n";
+  out += "lifecycle v1 max_idle=" + std::to_string(policy.max_idle_ms) + "\n";
 }
 
 void append_age_entries(std::string& out, const EiaTable& table) {
@@ -122,9 +121,7 @@ util::Result<EiaTable> import_eia(std::string_view text, EiaTableConfig config) 
         const auto name = parts[i].substr(0, eq);
         if (name == "max_idle") {
           config.lifecycle.max_idle_ms = *value;
-        } else if (name == "stale_after") {
-          config.lifecycle.stale_after_ms = *value;
-        } else {
+        } else if (name != "stale_after") {  // legacy: parsed, then ignored
           return fail("unknown lifecycle parameter '" + std::string(name) + "'");
         }
       }

@@ -15,12 +15,14 @@
 // that learned extra /24s round-trips exactly.
 //
 // Lifecycle aging (src/lifecycle) adds a versioned "lifecycle v1
-// max_idle=... stale_after=..." directive plus one "age <ingress>
-// <prefix/24> <learned_at> <last_seen> [expired]" line per aged entry.
-// Both appear only when the table holds age metadata, so pre-lifecycle
-// exports stay byte-identical; legacy dumps load with every entry
-// fresh/established (no metadata). The directive overrides the caller's
-// configured aging policy.
+// max_idle=..." directive plus one "age <ingress> <prefix/24>
+// <learned_at> <last_seen> [expired]" line per aged entry. Both appear
+// only when the table holds age metadata, so pre-lifecycle exports stay
+// byte-identical; legacy dumps load with every member treated as a
+// never-aging preload (no metadata). The directive overrides the caller's
+// configured aging policy. Older dumps may also carry a "stale_after=..."
+// parameter from a retired grace state: import still requires its value
+// to be an unsigned integer, then ignores it.
 
 #pragma once
 

@@ -132,16 +132,6 @@ util::Result<ReceivedDatagram> UdpReceiver::receive_into(
   }
 }
 
-util::Result<std::vector<std::uint8_t>> UdpReceiver::receive() {
-  std::vector<std::uint8_t> buffer(65536);
-  const auto received = receive_into(buffer);
-  if (!received) return received.error();
-  // Legacy convention: empty vector for both "nothing waiting" and a
-  // zero-length datagram. Callers who care use receive_into().
-  buffer.resize(received->datagram ? received->bytes : 0);
-  return buffer;
-}
-
 LiveCollector::LiveCollector(std::vector<UdpReceiver> receivers)
     : receivers_(std::move(receivers)), scratch_(65536) {}
 

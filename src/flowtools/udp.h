@@ -44,7 +44,7 @@ class UdpSender {
 /// Outcome of one UdpReceiver::receive_into() call. Distinguishes "a
 /// datagram arrived" from "nothing was waiting" explicitly, so a
 /// zero-length datagram -- legal UDP -- is not conflated with an empty
-/// socket the way receive()'s empty-vector convention conflates them.
+/// socket.
 struct ReceivedDatagram {
   /// True when a datagram was consumed from the socket (possibly empty or
   /// truncated); false when the socket had nothing waiting.
@@ -72,12 +72,6 @@ class UdpReceiver {
   UdpReceiver& operator=(const UdpReceiver&) = delete;
 
   [[nodiscard]] std::uint16_t port() const { return port_; }
-
-  /// Receives one pending datagram without blocking; an empty vector means
-  /// nothing was waiting. Allocates per call -- hot paths should use
-  /// receive_into(), which this wraps (and which can also tell a
-  /// zero-length datagram apart from an idle socket).
-  util::Result<std::vector<std::uint8_t>> receive();
 
   /// Receives one pending datagram into caller-owned storage without
   /// blocking or allocating. Retries internally on EINTR; errors are real

@@ -6,18 +6,6 @@
 
 namespace infilter::hopcount {
 
-const char* ttl_class_name(TtlClass c) {
-  switch (c) {
-    case TtlClass::kUnknown:
-      return "unknown";
-    case TtlClass::kConsistent:
-      return "consistent";
-    case TtlClass::kMiss:
-      return "miss";
-  }
-  return "?";
-}
-
 HopCountTable::HopCountTable(HopCountConfig config) : config_(config) {}
 
 std::uint64_t HopCountTable::key_of(IngressId ingress, net::IPv4Address source) {
@@ -51,19 +39,16 @@ TtlClass HopCountTable::classify(IngressId ingress, net::IPv4Address source,
   return TtlClass::kMiss;
 }
 
-HopCountTable::Observe HopCountTable::observe(IngressId ingress,
-                                              net::IPv4Address source,
-                                              std::uint8_t ttl,
-                                              util::TimeMs now) {
+void HopCountTable::observe(IngressId ingress, net::IPv4Address source,
+                            std::uint8_t ttl, util::TimeMs now) {
   const int hops = hops_from_ttl(ttl);
-  if (hops < 0) return Observe::kIgnored;
+  if (hops < 0) return;
 
   const auto key = key_of(ingress, source);
   auto it = table_.find(key);
   if (it == table_.end()) {
-    if (table_.size() >= config_.max_entries) return Observe::kIgnored;
+    if (table_.size() >= config_.max_entries) return;
     it = table_.emplace(key, Entry{}).first;
-    it->second.count = 0;
   } else if (stale(it->second, now)) {
     // Idle past the decay deadline: the old range no longer describes the
     // path; start learning over from this observation.
@@ -73,30 +58,16 @@ HopCountTable::Observe HopCountTable::observe(IngressId ingress,
 
   Entry& entry = it->second;
   entry.last_seen = now;
+  if (entry.count >= config_.learn_threshold) return;  // established: refresh only
+
   const auto hops8 = static_cast<std::uint8_t>(std::clamp(hops, 0, 255));
-
-  if (entry.count < config_.learn_threshold) {
-    if (entry.count == 0) {
-      entry.min_hops = entry.max_hops = hops8;
-    } else {
-      entry.min_hops = std::min(entry.min_hops, hops8);
-      entry.max_hops = std::max(entry.max_hops, hops8);
-    }
-    if (++entry.count == config_.learn_threshold) ++stats_.established_keys;
-    return Observe::kLearning;
+  if (entry.count == 0) {
+    entry.min_hops = entry.max_hops = hops8;
+  } else {
+    entry.min_hops = std::min(entry.min_hops, hops8);
+    entry.max_hops = std::max(entry.max_hops, hops8);
   }
-
-  if (hops >= int{entry.min_hops} - config_.tolerance &&
-      hops <= int{entry.max_hops} + config_.tolerance) {
-    entry.out_streak = 0;
-    return Observe::kInRange;
-  }
-  if (++entry.out_streak >= config_.relearn_threshold) {
-    entry = Entry{hops8, hops8, 1, 0, now};
-    ++stats_.relearned_ranges;
-    return Observe::kRelearned;
-  }
-  return Observe::kOutOfRange;
+  if (++entry.count == config_.learn_threshold) ++stats_.established_keys;
 }
 
 void HopCountTable::restore(IngressId ingress, net::IPv4Address source,
@@ -130,7 +101,7 @@ TtlClass HopCountAnalysis::analyze(IngressId ingress, net::IPv4Address source,
   // that itself looks like a forged path -- a spoofer must not be able to
   // drag the range toward its own hop count.
   if (eia_hit && result != TtlClass::kMiss) {
-    (void)table_.observe(ingress, source, ttl, now);
+    table_.observe(ingress, source, ttl, now);
   }
   return result;
 }

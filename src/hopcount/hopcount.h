@@ -17,6 +17,8 @@
 // Learning mirrors the EIA table's learn/detect phases: a key classifies
 // flows only after learn_threshold trusted observations, and idle entries
 // decay so a genuine route change re-learns instead of alarming forever.
+// Decay is the only reset: an established range is never widened or
+// replaced by later observations, only forgotten after decay_ms idle.
 
 #pragma once
 
@@ -40,8 +42,6 @@ enum class TtlClass : std::uint8_t {
   kConsistent,  ///< hop count within the learned tolerance window
   kMiss,        ///< hop count outside the window: path-length mismatch
 };
-
-[[nodiscard]] const char* ttl_class_name(TtlClass c);
 
 /// The likely initial TTL for an observed value: the smallest of the
 /// common initial TTLs {32, 64, 128, 255} that is >= observed. 0 (no TTL
@@ -70,11 +70,6 @@ struct HopCountConfig {
   /// range is established and flows classify (mirrors the EIA table's
   /// learn threshold); until then the key classifies as unknown.
   int learn_threshold = 5;
-  /// Consecutive out-of-window observations fed to observe() before the
-  /// range is re-learned around the new path length. Only reachable when
-  /// the caller chooses to learn from miss flows; the engine does not, so
-  /// under the default policy adaptation happens via decay_ms instead.
-  int relearn_threshold = 5;
   /// Entries idle longer than this are expired and re-learned from the
   /// next observation -- the time-decay that lets a genuine route change
   /// converge instead of alarming forever. 0 disables decay.
@@ -88,28 +83,17 @@ struct HopCountConfig {
 struct HopCountStats {
   std::uint64_t classified = 0;        ///< classify() calls
   std::uint64_t established_keys = 0;  ///< keys that completed learning
-  std::uint64_t relearned_ranges = 0;  ///< ranges reset by the relearn rule
   std::uint64_t expired_entries = 0;   ///< entries reset after decay_ms idle
 };
 
 /// Learned per-(ingress, source /24) expected hop-count ranges.
 class HopCountTable {
  public:
-  /// What observe() did with the observation.
-  enum class Observe : std::uint8_t {
-    kIgnored,    ///< no TTL on the record, or the table is full
-    kLearning,   ///< folded into a range still below learn_threshold
-    kInRange,    ///< matched an established range (refreshes the entry)
-    kOutOfRange, ///< outside the window of an established range
-    kRelearned,  ///< out-of-window streak hit relearn_threshold; range reset
-  };
-
   /// Serialization image of one learned range (hopcount_io).
   struct Entry {
     std::uint8_t min_hops = 0;
     std::uint8_t max_hops = 0;
-    int count = 0;       ///< observations folded in; >= learn_threshold = established
-    int out_streak = 0;  ///< consecutive out-of-window observations
+    int count = 0;  ///< observations folded in; >= learn_threshold = established
     util::TimeMs last_seen = 0;
   };
   struct ExportedEntry {
@@ -126,12 +110,16 @@ class HopCountTable {
   [[nodiscard]] TtlClass classify(IngressId ingress, net::IPv4Address source,
                                   std::uint8_t ttl, util::TimeMs now) const;
 
-  /// Folds one trusted observation into the key's range. Callers decide
-  /// what "trusted" means -- the engine only feeds flows the EIA sets
-  /// vouch for and that did not themselves classify as a miss, so a
-  /// spoofer cannot poison the ranges it is being checked against.
-  Observe observe(IngressId ingress, net::IPv4Address source, std::uint8_t ttl,
-                  util::TimeMs now);
+  /// Folds one trusted observation into the key's range: creates the
+  /// entry (or resets it once past its decay deadline), widens the range
+  /// while the key is still learning, and otherwise only refreshes
+  /// last_seen. Records without a TTL, and new keys when the table is
+  /// full, are ignored. Callers decide what "trusted" means -- the engine
+  /// only feeds flows the EIA sets vouch for and that did not themselves
+  /// classify as a miss, so a spoofer cannot poison the ranges it is being
+  /// checked against.
+  void observe(IngressId ingress, net::IPv4Address source, std::uint8_t ttl,
+               util::TimeMs now);
 
   /// Restores one entry verbatim (import path); replaces any existing
   /// entry for the key. `slash24` is canonicalized to its /24.

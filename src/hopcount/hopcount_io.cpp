@@ -60,9 +60,10 @@ std::string export_hopcount(const HopCountTable& table) {
       out << "ingress " << *current << "\n";
     }
     const auto& e = exported.entry;
+    // The legacy out_streak column is always written as 0.
     out << "  " << exported.slash24.to_string() << " " << int{e.min_hops}
-        << " " << int{e.max_hops} << " " << e.count << " " << e.out_streak
-        << " " << e.last_seen << "\n";
+        << " " << int{e.max_hops} << " " << e.count << " 0 " << e.last_seen
+        << "\n";
   }
   return std::move(out).str();
 }
@@ -122,6 +123,7 @@ util::Result<HopCountTable> import_hopcount(std::string_view text,
     const auto min_hops = parse_number<unsigned>(fields[1]);
     const auto max_hops = parse_number<unsigned>(fields[2]);
     const auto count = parse_number<int>(fields[3]);
+    // The legacy out_streak column is validated, then discarded.
     const auto out_streak = parse_number<int>(fields[4]);
     const auto last_seen = parse_number<std::uint64_t>(fields[5]);
     if (!min_hops.has_value() || !max_hops.has_value() || *min_hops > 255 ||
@@ -133,7 +135,7 @@ util::Result<HopCountTable> import_hopcount(std::string_view text,
     table.restore(*current, prefix->address(),
                   HopCountTable::Entry{static_cast<std::uint8_t>(*min_hops),
                                        static_cast<std::uint8_t>(*max_hops),
-                                       *count, *out_streak, *last_seen});
+                                       *count, *last_seen});
   }
   if (!magic_seen) {
     return util::Error{"missing '" + std::string(kHopCountMagic) +

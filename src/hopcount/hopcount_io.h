@@ -14,6 +14,9 @@
 // <out_streak> <last_seen_ms>. Every field of the in-memory entry is
 // persisted, so a table that is exported and re-imported continues
 // learning -- and classifying -- exactly where the original left off.
+// <out_streak> is a legacy column from a retired relearn rule: export
+// always writes 0, and import checks it is an integer >= 0, then ignores
+// it, so older dumps still load and classify unchanged.
 
 #pragma once
 

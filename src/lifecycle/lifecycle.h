@@ -3,11 +3,12 @@
 // The paper learns EIA sets once and assumes they stay valid; a deployed
 // system must survive weeks of BGP/IGP churn, exporter restarts, and
 // traffic shifts without detection quality decaying. This module is the
-// shared vocabulary for aging that state: a conntrack-style entry state
-// machine (learning -> established -> stale -> expired, with
-// relearn-on-reobservation) and the idle-expiry clock predicate both the
-// EIA table (core/eia.h) and the hop-count table (hopcount/hopcount.h)
-// evaluate against the flow-carried virtual time.
+// shared vocabulary for aging that state: the aging policy, the per-entry
+// age record (an auto-learned EIA entry is a member until it idles out,
+// then an expired tombstone until it is learned again), and the
+// idle-expiry clock predicate both the EIA table (core/eia.h) and the
+// hop-count table (hopcount/hopcount.h) evaluate against the
+// flow-carried virtual time.
 //
 // Determinism contract: expiry is always decided lazily, per key, against
 // the `now` carried by the flow being processed -- never against a global
@@ -36,31 +37,11 @@ struct LifecycleConfig {
   /// Idle time after which a learned entry expires (membership removed,
   /// relearnable). 0 disables aging entirely.
   util::DurationMs max_idle_ms = 0;
-  /// Idle time after which an entry is merely *stale* (still accepted,
-  /// reported for observability). 0 derives max_idle_ms / 2.
-  util::DurationMs stale_after_ms = 0;
 
   [[nodiscard]] bool enabled() const { return max_idle_ms > 0; }
-  [[nodiscard]] util::DurationMs stale_threshold() const {
-    return stale_after_ms > 0 ? stale_after_ms : max_idle_ms / 2;
-  }
 
   friend bool operator==(const LifecycleConfig&, const LifecycleConfig&) = default;
 };
-
-/// Conntrack-style entry states. `kLearning` = a pending learn counter
-/// exists but the key is not yet a member; `kStale` entries are still
-/// accepted (the grace window between freshness and expiry); `kExpired`
-/// entries have had their membership removed and relearn through the
-/// normal mismatch-observation path.
-enum class EntryState : std::uint8_t {
-  kLearning,
-  kEstablished,
-  kStale,
-  kExpired,
-};
-
-[[nodiscard]] const char* state_name(EntryState state);
 
 /// The one idle-expiry predicate. `now` earlier than `last_seen` (exporter
 /// restart rebasing uptime, reordered batch tails) never expires.
@@ -69,14 +50,10 @@ enum class EntryState : std::uint8_t {
   return now > last_seen && now - last_seen > max_idle;
 }
 
-/// State of a live (non-tombstone) entry under `config` at `now`.
-[[nodiscard]] EntryState idle_state(util::TimeMs last_seen, util::TimeMs now,
-                                    const LifecycleConfig& config);
-
 /// Per-entry age metadata kept for auto-learned keys (preloads are exempt:
 /// operator-provisioned ranges never age). An `expired` entry is a
 /// tombstone: membership is gone, but the marker lets a later relearn be
-/// counted as such.
+/// counted as such; the key relearns through the normal mismatch path.
 struct EntryAge {
   util::TimeMs learned_at = 0;
   util::TimeMs last_seen = 0;
@@ -90,7 +67,6 @@ struct LifecycleStats {
   std::uint64_t entries_expired = 0;    ///< memberships removed by idle expiry
   std::uint64_t entries_relearned = 0;  ///< expired keys learned again
   std::uint64_t entries_refreshed = 0;  ///< last_seen advances on lookup hits
-  std::uint64_t sweeps = 0;             ///< explicit age_sweep() passes
 };
 
 }  // namespace infilter::lifecycle

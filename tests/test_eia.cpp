@@ -186,26 +186,26 @@ TEST(EiaTable, ExpectedLookupPerIngress) {
   EiaTable table;
   table.add_expected(9001, prefix("3.0.0.0/11"));
   table.add_expected(9002, prefix("3.32.0.0/11"));
-  EXPECT_TRUE(table.is_expected(9001, ip("3.1.2.3")));
-  EXPECT_FALSE(table.is_expected(9002, ip("3.1.2.3")));
-  EXPECT_TRUE(table.is_expected(9002, ip("3.40.0.1")));
-  EXPECT_FALSE(table.is_expected(9003, ip("3.1.2.3")));  // unknown ingress
+  EXPECT_TRUE(table.is_expected(9001, ip("3.1.2.3"), 0));
+  EXPECT_FALSE(table.is_expected(9002, ip("3.1.2.3"), 0));
+  EXPECT_TRUE(table.is_expected(9002, ip("3.40.0.1"), 0));
+  EXPECT_FALSE(table.is_expected(9003, ip("3.1.2.3"), 0));  // unknown ingress
 }
 
 TEST(EiaTable, ExpectedIngressFindsOwner) {
   EiaTable table;
   table.add_expected(9001, prefix("3.0.0.0/11"));
   table.add_expected(9002, prefix("3.32.0.0/11"));
-  EXPECT_EQ(table.expected_ingress(ip("3.1.2.3")), std::optional<IngressId>{9001});
-  EXPECT_EQ(table.expected_ingress(ip("3.40.0.1")), std::optional<IngressId>{9002});
-  EXPECT_EQ(table.expected_ingress(ip("99.0.0.1")), std::nullopt);
+  EXPECT_EQ(table.expected_ingress(ip("3.1.2.3"), 0), std::optional<IngressId>{9001});
+  EXPECT_EQ(table.expected_ingress(ip("3.40.0.1"), 0), std::optional<IngressId>{9002});
+  EXPECT_EQ(table.expected_ingress(ip("99.0.0.1"), 0), std::nullopt);
 }
 
 TEST(EiaTable, ExpectedIngressPrefersLowestWhenShared) {
   EiaTable table;
   table.add_expected(9005, prefix("50.0.0.0/8"));
   table.add_expected(9001, prefix("50.0.0.0/8"));
-  EXPECT_EQ(table.expected_ingress(ip("50.1.1.1")), std::optional<IngressId>{9001});
+  EXPECT_EQ(table.expected_ingress(ip("50.1.1.1"), 0), std::optional<IngressId>{9001});
 }
 
 TEST(EiaTable, LearnsSlash24AfterThreshold) {
@@ -216,14 +216,14 @@ TEST(EiaTable, LearnsSlash24AfterThreshold) {
 
   const auto newcomer = ip("77.1.2.3");
   for (int i = 0; i < 4; ++i) {
-    EXPECT_FALSE(table.observe_mismatch(9001, newcomer));
-    EXPECT_FALSE(table.is_expected(9001, newcomer));
+    EXPECT_FALSE(table.observe_mismatch(9001, newcomer, 0));
+    EXPECT_FALSE(table.is_expected(9001, newcomer, 0));
   }
-  EXPECT_TRUE(table.observe_mismatch(9001, newcomer));  // 5th flow learns
-  EXPECT_TRUE(table.is_expected(9001, newcomer));
+  EXPECT_TRUE(table.observe_mismatch(9001, newcomer, 0));  // 5th flow learns
+  EXPECT_TRUE(table.is_expected(9001, newcomer, 0));
   // The whole /24 was learned, but not the neighboring /24.
-  EXPECT_TRUE(table.is_expected(9001, ip("77.1.2.250")));
-  EXPECT_FALSE(table.is_expected(9001, ip("77.1.3.1")));
+  EXPECT_TRUE(table.is_expected(9001, ip("77.1.2.250"), 0));
+  EXPECT_FALSE(table.is_expected(9001, ip("77.1.3.1"), 0));
 }
 
 TEST(EiaTable, LearningIsPerIngress) {
@@ -231,14 +231,14 @@ TEST(EiaTable, LearningIsPerIngress) {
   config.learn_threshold = 3;
   EiaTable table(config);
   const auto source = ip("88.5.5.5");
-  table.observe_mismatch(9001, source);
-  table.observe_mismatch(9001, source);
-  table.observe_mismatch(9002, source);  // different ingress: separate counter
-  EXPECT_FALSE(table.is_expected(9001, source));
-  EXPECT_FALSE(table.is_expected(9002, source));
-  EXPECT_TRUE(table.observe_mismatch(9001, source));
-  EXPECT_TRUE(table.is_expected(9001, source));
-  EXPECT_FALSE(table.is_expected(9002, source));
+  table.observe_mismatch(9001, source, 0);
+  table.observe_mismatch(9001, source, 0);
+  table.observe_mismatch(9002, source, 0);  // different ingress: separate counter
+  EXPECT_FALSE(table.is_expected(9001, source, 0));
+  EXPECT_FALSE(table.is_expected(9002, source, 0));
+  EXPECT_TRUE(table.observe_mismatch(9001, source, 0));
+  EXPECT_TRUE(table.is_expected(9001, source, 0));
+  EXPECT_FALSE(table.is_expected(9002, source, 0));
 }
 
 TEST(EiaTable, CounterKeyedBySlash24NotHost) {
@@ -246,10 +246,10 @@ TEST(EiaTable, CounterKeyedBySlash24NotHost) {
   config.learn_threshold = 3;
   EiaTable table(config);
   // Three different hosts in one /24 accumulate on the same counter.
-  table.observe_mismatch(9001, ip("66.1.1.1"));
-  table.observe_mismatch(9001, ip("66.1.1.2"));
-  EXPECT_TRUE(table.observe_mismatch(9001, ip("66.1.1.3")));
-  EXPECT_TRUE(table.is_expected(9001, ip("66.1.1.200")));
+  table.observe_mismatch(9001, ip("66.1.1.1"), 0);
+  table.observe_mismatch(9001, ip("66.1.1.2"), 0);
+  EXPECT_TRUE(table.observe_mismatch(9001, ip("66.1.1.3"), 0));
+  EXPECT_TRUE(table.is_expected(9001, ip("66.1.1.200"), 0));
 }
 
 TEST(EiaTable, FullPendingBankDecaysInsteadOfRefusing) {
@@ -259,15 +259,15 @@ TEST(EiaTable, FullPendingBankDecaysInsteadOfRefusing) {
   EiaTable table(config);
   const std::uint32_t first = 0x3C000000u;  // 60.0.0.0/24
   const std::uint32_t second = colliding_slash24(first);
-  table.observe_mismatch(9001, net::IPv4Address{first + 1});
+  table.observe_mismatch(9001, net::IPv4Address{first + 1}, 0);
   EXPECT_EQ(table.stats().pending_rejected, 0u);
   // The newcomer finds its bank full: the once-seen occupant is halved to
   // zero and swept, and the newcomer gets a counter (pre-fix behavior was
   // a silent refusal that starved it forever).
-  EXPECT_FALSE(table.observe_mismatch(9001, net::IPv4Address{second + 1}));
+  EXPECT_FALSE(table.observe_mismatch(9001, net::IPv4Address{second + 1}, 0));
   EXPECT_EQ(table.stats().pending_rejected, 1u);
-  EXPECT_TRUE(table.observe_mismatch(9001, net::IPv4Address{second + 2}));
-  EXPECT_TRUE(table.is_expected(9001, net::IPv4Address{second + 9}));
+  EXPECT_TRUE(table.observe_mismatch(9001, net::IPv4Address{second + 2}, 0));
+  EXPECT_TRUE(table.is_expected(9001, net::IPv4Address{second + 9}, 0));
 }
 
 TEST(EiaTable, FullPendingBankEvictsMinimumWhenDecayFreesNothing) {
@@ -278,17 +278,17 @@ TEST(EiaTable, FullPendingBankEvictsMinimumWhenDecayFreesNothing) {
   const std::uint32_t occupant = 0x3D000000u;  // 61.0.0.0/24
   const std::uint32_t newcomer = colliding_slash24(occupant);
   for (int i = 0; i < 4; ++i) {
-    EXPECT_FALSE(table.observe_mismatch(9001, net::IPv4Address{occupant + 1}));
+    EXPECT_FALSE(table.observe_mismatch(9001, net::IPv4Address{occupant + 1}, 0));
   }
   // Halving 4 -> 2 leaves the bank full, so the minimum entry is evicted
   // and the newcomer still gets tracked.
-  EXPECT_FALSE(table.observe_mismatch(9001, net::IPv4Address{newcomer + 1}));
+  EXPECT_FALSE(table.observe_mismatch(9001, net::IPv4Address{newcomer + 1}, 0));
   EXPECT_EQ(table.stats().pending_rejected, 1u);
   EXPECT_EQ(table.pending_counters(), 1u);
   for (int i = 0; i < 8; ++i) {
-    EXPECT_FALSE(table.observe_mismatch(9001, net::IPv4Address{newcomer + 2}));
+    EXPECT_FALSE(table.observe_mismatch(9001, net::IPv4Address{newcomer + 2}, 0));
   }
-  EXPECT_TRUE(table.observe_mismatch(9001, net::IPv4Address{newcomer + 3}));
+  EXPECT_TRUE(table.observe_mismatch(9001, net::IPv4Address{newcomer + 3}, 0));
 }
 
 TEST(EiaTable, LegitimateSourceLearnsThroughAttackerFlood) {
@@ -302,25 +302,25 @@ TEST(EiaTable, LegitimateSourceLearnsThroughAttackerFlood) {
   util::SplitMix64 flood_rng{42};
   for (int i = 0; i < 10000; ++i) {
     table.observe_mismatch(
-        9001, net::IPv4Address{static_cast<std::uint32_t>(flood_rng.next())});
+        9001, net::IPv4Address{static_cast<std::uint32_t>(flood_rng.next())}, 0);
   }
   // The bound holds throughout.
   EXPECT_LE(table.pending_counters(), config.max_pending_counters);
   EXPECT_GT(table.stats().pending_rejected, 0u);
   const auto legit = ip("77.200.1.1");
-  EXPECT_FALSE(table.observe_mismatch(9001, legit));
-  EXPECT_FALSE(table.observe_mismatch(9001, legit));
-  EXPECT_TRUE(table.observe_mismatch(9001, legit));
-  EXPECT_TRUE(table.is_expected(9001, ip("77.200.1.200")));
+  EXPECT_FALSE(table.observe_mismatch(9001, legit, 0));
+  EXPECT_FALSE(table.observe_mismatch(9001, legit, 0));
+  EXPECT_TRUE(table.observe_mismatch(9001, legit, 0));
+  EXPECT_TRUE(table.is_expected(9001, ip("77.200.1.200"), 0));
 }
 
 TEST(EiaTable, LearnedEntryFreesCounter) {
   EiaTableConfig config;
   config.learn_threshold = 2;
   EiaTable table(config);
-  table.observe_mismatch(9001, ip("61.0.0.1"));
+  table.observe_mismatch(9001, ip("61.0.0.1"), 0);
   EXPECT_EQ(table.pending_counters(), 1u);
-  EXPECT_TRUE(table.observe_mismatch(9001, ip("61.0.0.2")));
+  EXPECT_TRUE(table.observe_mismatch(9001, ip("61.0.0.2"), 0));
   EXPECT_EQ(table.pending_counters(), 0u);
 }
 

@@ -80,14 +80,16 @@ TEST(EiaIo, ExportImportRoundTrip) {
   table.add_expected(9001, prefix("4.64.0.0/11"));
   table.add_expected(9002, prefix("3.32.0.0/11"));
   const auto text = export_eia(table);
-  const auto imported = import_eia(text);
+  auto imported = import_eia(text);
   ASSERT_TRUE(imported.has_value()) << imported.error().message;
   EXPECT_EQ(imported->ingresses(), table.ingresses());
   for (const char* probe : {"3.1.2.3", "4.70.0.1", "3.40.0.1", "9.9.9.9"}) {
     const auto address = *net::IPv4Address::parse(probe);
-    EXPECT_EQ(imported->is_expected(9001, address), table.is_expected(9001, address))
+    EXPECT_EQ(imported->is_expected(9001, address, 0),
+              table.is_expected(9001, address, 0))
         << probe;
-    EXPECT_EQ(imported->is_expected(9002, address), table.is_expected(9002, address))
+    EXPECT_EQ(imported->is_expected(9002, address, 0),
+              table.is_expected(9002, address, 0))
         << probe;
   }
 }
@@ -97,18 +99,18 @@ TEST(EiaIo, LearnedEntriesSurviveRoundTrip) {
   config.learn_threshold = 2;
   EiaTable table(config);
   table.add_expected(9001, prefix("3.0.0.0/11"));
-  table.observe_mismatch(9001, *net::IPv4Address::parse("77.1.2.3"));
-  table.observe_mismatch(9001, *net::IPv4Address::parse("77.1.2.4"));  // learns /24
-  ASSERT_TRUE(table.is_expected(9001, *net::IPv4Address::parse("77.1.2.200")));
+  table.observe_mismatch(9001, *net::IPv4Address::parse("77.1.2.3"), 0);
+  table.observe_mismatch(9001, *net::IPv4Address::parse("77.1.2.4"), 0);  // learns /24
+  ASSERT_TRUE(table.is_expected(9001, *net::IPv4Address::parse("77.1.2.200"), 0));
 
-  const auto imported = import_eia(export_eia(table));
+  auto imported = import_eia(export_eia(table));
   ASSERT_TRUE(imported.has_value());
-  EXPECT_TRUE(imported->is_expected(9001, *net::IPv4Address::parse("77.1.2.200")));
-  EXPECT_FALSE(imported->is_expected(9001, *net::IPv4Address::parse("77.1.3.1")));
+  EXPECT_TRUE(imported->is_expected(9001, *net::IPv4Address::parse("77.1.2.200"), 0));
+  EXPECT_FALSE(imported->is_expected(9001, *net::IPv4Address::parse("77.1.3.1"), 0));
 }
 
 TEST(EiaIo, ImportHandlesCommentsAndEmptyStanzas) {
-  const auto imported = import_eia(
+  auto imported = import_eia(
       "# top comment\n"
       "ingress 9001\n"
       "  # indented comment\n"
@@ -118,7 +120,7 @@ TEST(EiaIo, ImportHandlesCommentsAndEmptyStanzas) {
       "  18.96.0.0/11\n");
   ASSERT_TRUE(imported.has_value()) << imported.error().message;
   EXPECT_EQ(imported->ingress_count(), 3u);
-  EXPECT_TRUE(imported->is_expected(9001, *net::IPv4Address::parse("3.1.1.1")));
+  EXPECT_TRUE(imported->is_expected(9001, *net::IPv4Address::parse("3.1.1.1"), 0));
   ASSERT_NE(imported->set_for(9002), nullptr);
   EXPECT_EQ(imported->set_for(9002)->range_count(), 0u);
 }

@@ -112,7 +112,7 @@ TEST(BasicInFilter, AutoLearnsPersistentRouteChange) {
   // First learn_threshold - 1 flows flagged, the learning flow and
   // everything after pass.
   EXPECT_EQ(flagged, 4);
-  EXPECT_TRUE(engine.eia().is_expected(kAs1, newcomer));
+  EXPECT_TRUE(engine.eia().set_for(kAs1)->contains(newcomer));
 }
 
 class EnhancedEngineTest : public ::testing::Test {

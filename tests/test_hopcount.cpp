@@ -1,5 +1,5 @@
 // Tests for the TTL hop-count detector (src/hopcount): initial-TTL
-// inference, range learning/classification, decay and relearning, the
+// inference, range learning/classification, decay (the only reset), the
 // anti-poisoning learning policy, the deterministic path model, and the
 // versioned serialization format -- including the save/load -> identical
 // verdicts guarantee alongside the EIA sets.
@@ -49,10 +49,11 @@ TEST(HopCountTable, ClassifiesUnknownUntilLearnThreshold) {
   HopCountTable table;
   const auto src = ip("10.1.2.3");
   for (int i = 0; i < table.config().learn_threshold - 1; ++i) {
-    EXPECT_EQ(table.observe(9001, src, 57, 0), HopCountTable::Observe::kLearning);
+    table.observe(9001, src, 57, 0);
     EXPECT_EQ(table.classify(9001, src, 57, 0), TtlClass::kUnknown);
+    EXPECT_EQ(table.stats().established_keys, 0u);
   }
-  EXPECT_EQ(table.observe(9001, src, 57, 0), HopCountTable::Observe::kLearning);
+  table.observe(9001, src, 57, 0);
   EXPECT_EQ(table.classify(9001, src, 57, 0), TtlClass::kConsistent);
   EXPECT_EQ(table.stats().established_keys, 1u);
 }
@@ -90,8 +91,7 @@ TEST(HopCountTable, KeysAreSlash24PerIngress) {
 
 TEST(HopCountTable, MissingTtlIsIgnoredAndUnknown) {
   HopCountTable table;
-  EXPECT_EQ(table.observe(9001, ip("10.1.2.3"), 0, 0),
-            HopCountTable::Observe::kIgnored);
+  table.observe(9001, ip("10.1.2.3"), 0, 0);
   EXPECT_EQ(table.size(), 0u);
   EXPECT_EQ(table.classify(9001, ip("10.1.2.3"), 0, 0), TtlClass::kUnknown);
 }
@@ -107,29 +107,32 @@ TEST(HopCountTable, IdleEntriesDecayAndRelearn) {
   // Past the decay deadline the stale range no longer accuses anyone...
   EXPECT_EQ(table.classify(9001, src, 50, 1501), TtlClass::kUnknown);
   // ...and the next observation restarts learning around the new path.
-  EXPECT_EQ(table.observe(9001, src, 50, 1501), HopCountTable::Observe::kLearning);
+  table.observe(9001, src, 50, 1501);
   EXPECT_EQ(table.classify(9001, src, 50, 1502), TtlClass::kConsistent);
+  EXPECT_EQ(table.classify(9001, src, 57, 1502), TtlClass::kMiss);
   EXPECT_EQ(table.stats().expired_entries, 1u);
+  EXPECT_EQ(table.stats().established_keys, 2u);
 }
 
-TEST(HopCountTable, OutOfWindowStreakRelearnsTheRange) {
+TEST(HopCountTable, EstablishedRangeOnlyRefreshes) {
   HopCountConfig config;
   config.learn_threshold = 1;
-  config.relearn_threshold = 3;
+  config.decay_ms = 1000;
   HopCountTable table(config);
   const auto src = ip("10.1.2.3");
-  table.observe(9001, src, 57, 0);  // 7 hops
-  for (int i = 0; i < 2; ++i) {
-    EXPECT_EQ(table.observe(9001, src, 44, 0),  // 20 hops
-              HopCountTable::Observe::kOutOfRange);
-  }
-  // An in-window observation resets the streak.
-  EXPECT_EQ(table.observe(9001, src, 57, 0), HopCountTable::Observe::kInRange);
-  EXPECT_EQ(table.observe(9001, src, 44, 0), HopCountTable::Observe::kOutOfRange);
-  EXPECT_EQ(table.observe(9001, src, 44, 0), HopCountTable::Observe::kOutOfRange);
-  EXPECT_EQ(table.observe(9001, src, 44, 0), HopCountTable::Observe::kRelearned);
-  EXPECT_EQ(table.classify(9001, src, 44, 0), TtlClass::kConsistent);
-  EXPECT_EQ(table.stats().relearned_ranges, 1u);
+  table.observe(9001, src, 57, 0);  // 7 hops: established
+  // Later observations -- in or out of the window -- neither widen nor
+  // replace the range; they only push the decay deadline out.
+  table.observe(9001, src, 44, 900);  // 20 hops
+  table.observe(9001, src, 44, 1800);
+  const auto entries = table.entries();
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].entry.min_hops, 7);
+  EXPECT_EQ(entries[0].entry.max_hops, 7);
+  EXPECT_EQ(entries[0].entry.count, 1);
+  EXPECT_EQ(entries[0].entry.last_seen, 1800u);
+  EXPECT_EQ(table.classify(9001, src, 44, 2700), TtlClass::kMiss);
+  EXPECT_EQ(table.stats().expired_entries, 0u);
 }
 
 TEST(HopCountTable, FullTableIgnoresNewKeysButServesOldOnes) {
@@ -138,9 +141,9 @@ TEST(HopCountTable, FullTableIgnoresNewKeysButServesOldOnes) {
   config.max_entries = 1;
   HopCountTable table(config);
   table.observe(9001, ip("10.1.2.3"), 57, 0);
-  EXPECT_EQ(table.observe(9001, ip("10.9.9.9"), 57, 0),
-            HopCountTable::Observe::kIgnored);
+  table.observe(9001, ip("10.9.9.9"), 57, 0);
   EXPECT_EQ(table.size(), 1u);
+  EXPECT_EQ(table.classify(9001, ip("10.9.9.9"), 57, 0), TtlClass::kUnknown);
   EXPECT_EQ(table.classify(9001, ip("10.1.2.3"), 57, 0), TtlClass::kConsistent);
 }
 
@@ -225,7 +228,7 @@ TEST(HopCountIo, RoundTripsEveryField) {
   table.observe(9001, ip("10.1.2.9"), 55, 200);
   table.observe(9001, ip("10.9.1.1"), 120, 300);
   table.observe(9002, ip("10.1.2.3"), 44, 400);
-  table.observe(9002, ip("10.1.2.3"), 45, 500);  // established, streak state
+  table.observe(9002, ip("10.1.2.3"), 45, 500);  // established
 
   const auto text = export_hopcount(table);
   EXPECT_EQ(text.substr(0, kHopCountMagic.size()), kHopCountMagic);
@@ -241,12 +244,28 @@ TEST(HopCountIo, RoundTripsEveryField) {
     EXPECT_EQ(original[i].entry.min_hops, restored[i].entry.min_hops);
     EXPECT_EQ(original[i].entry.max_hops, restored[i].entry.max_hops);
     EXPECT_EQ(original[i].entry.count, restored[i].entry.count);
-    EXPECT_EQ(original[i].entry.out_streak, restored[i].entry.out_streak);
     EXPECT_EQ(original[i].entry.last_seen, restored[i].entry.last_seen);
   }
   // A second export of the imported table is byte-identical: the format is
   // canonical.
   EXPECT_EQ(export_hopcount(*imported), text);
+
+  // A legacy line with a non-zero out_streak column loads and classifies
+  // exactly like the same line with 0, and re-exports with 0.
+  const std::string magic = std::string(kHopCountMagic) + "\n";
+  const std::string stanza = magic + "ingress 9001\n";
+  const auto legacy = import_hopcount(stanza + "  10.1.2.0/24 3 5 12 4 100\n");
+  const auto current = import_hopcount(stanza + "  10.1.2.0/24 3 5 12 0 100\n");
+  ASSERT_TRUE(legacy) << legacy.error().message;
+  ASSERT_TRUE(current) << current.error().message;
+  for (const std::uint8_t ttl : {0, 44, 55, 57, 59, 61, 62}) {
+    EXPECT_EQ(legacy->classify(9001, ip("10.1.2.9"), ttl, 200),
+              current->classify(9001, ip("10.1.2.9"), ttl, 200))
+        << int{ttl};
+  }
+  EXPECT_EQ(export_hopcount(*legacy), export_hopcount(*current));
+  EXPECT_NE(export_hopcount(*legacy).find("10.1.2.0/24 3 5 12 0 100\n"),
+            std::string::npos);
 }
 
 TEST(HopCountIo, RejectsMissingOrWrongMagic) {
@@ -270,6 +289,13 @@ TEST(HopCountIo, RejectsCorruptBodies) {
       import_hopcount(magic + "ingress 9001\n10.1.0.0/16 3 5 12 0 100\n"));
   // Wrong field count and non-numeric fields.
   EXPECT_FALSE(import_hopcount(magic + "ingress 9001\n10.1.2.0/24 3 5\n"));
+  EXPECT_FALSE(import_hopcount(magic + "ingress 9001\n10.1.2.0/24 3 5 12 100\n"));
+  // The legacy out_streak column is still validated: a negative or
+  // non-numeric streak is corrupt.
+  EXPECT_FALSE(
+      import_hopcount(magic + "ingress 9001\n10.1.2.0/24 3 5 12 -1 100\n"));
+  EXPECT_FALSE(
+      import_hopcount(magic + "ingress 9001\n10.1.2.0/24 3 5 12 x 100\n"));
   EXPECT_FALSE(
       import_hopcount(magic + "ingress 9001\n10.1.2.0/24 3 five 12 0 100\n"));
   // Line numbers surface in the message.

@@ -1,5 +1,6 @@
 // Tests for the lifecycle subsystem (src/lifecycle): exact-EIA entry
-// aging (expiry / stale grace / relearn and its determinism contract),
+// aging (learning / member / expired tombstone, relearn and its
+// determinism contract),
 // EiaSet prefix removal, age-metadata persistence through eia_io, live
 // shard-pool resizes with state migration (bit-consistency against a
 // serial replay of the realized dispatch order), the resize/flush/
@@ -58,14 +59,11 @@ TEST(Lifecycle, RebasedClockNeverExpires) {
   EXPECT_FALSE(lifecycle::idle_expired(5000, 5000, 10));
 }
 
-TEST(Lifecycle, StaleThresholdDerivesHalfMaxIdle) {
+TEST(Lifecycle, EnabledIffMaxIdleIsSet) {
   lifecycle::LifecycleConfig config;
   EXPECT_FALSE(config.enabled());
   config.max_idle_ms = 1000;
   EXPECT_TRUE(config.enabled());
-  EXPECT_EQ(config.stale_threshold(), 500u);
-  config.stale_after_ms = 800;
-  EXPECT_EQ(config.stale_threshold(), 800u);
 }
 
 // -- EiaSet::remove --
@@ -117,31 +115,41 @@ void learn(core::EiaTable& table, core::IngressId ingress, net::IPv4Address sour
   ASSERT_TRUE(learned);
 }
 
-TEST(EiaAging, EntryWalksLearningEstablishedStaleExpired) {
+TEST(EiaAging, EntryWalksLearningMemberExpired) {
   core::EiaTable table(aging_config(1000));
   ASSERT_TRUE(table.aging_enabled());
   table.declare_ingress(9001);
   const auto src = addr("10.1.2.3");
 
-  EXPECT_FALSE(table.entry_state(9001, src, 0).has_value());
+  EXPECT_EQ(table.pending_counters(), 0u);
+  EXPECT_EQ(table.aged_entry_count(), 0u);
+  // Learning: a pending counter, not yet a member.
   ASSERT_FALSE(table.observe_mismatch(9001, src, 100));
-  EXPECT_EQ(table.entry_state(9001, src, 100), lifecycle::EntryState::kLearning);
+  EXPECT_EQ(table.pending_counters(), 1u);
+  EXPECT_FALSE(table.is_expected(9001, src, 100));
+  EXPECT_EQ(table.aged_entry_count(), 0u);
   ASSERT_TRUE(table.observe_mismatch(9001, src, 100));
+  EXPECT_EQ(table.pending_counters(), 0u);
 
-  // Fresh within the stale threshold (1000 / 2 = 500 of idle time).
-  EXPECT_EQ(table.entry_state(9001, src, 400), lifecycle::EntryState::kEstablished);
-  // The grace window: stale but still accepted.
-  EXPECT_EQ(table.entry_state(9001, src, 700), lifecycle::EntryState::kStale);
-  EXPECT_TRUE(table.is_expected(9001, src, 700));  // refreshes last_seen to 700
-  EXPECT_EQ(table.entry_state(9001, src, 900), lifecycle::EntryState::kEstablished);
+  // Member: a hit refreshes last_seen.
+  EXPECT_TRUE(table.is_expected(9001, src, 700));
+  ASSERT_EQ(table.aged_entries().size(), 1u);
+  EXPECT_EQ(table.aged_entries()[0].age.learned_at, 100u);
+  EXPECT_EQ(table.aged_entries()[0].age.last_seen, 700u);
+  EXPECT_FALSE(table.aged_entries()[0].age.expired);
+  EXPECT_EQ(table.lifecycle_stats().entries_refreshed, 1u);
 
-  // Past max_idle the lookup itself expires the entry.
+  // Past max_idle the lookup itself expires the entry: membership gone,
+  // the age record kept as a tombstone.
   EXPECT_FALSE(table.is_expected(9001, src, 2000));
-  EXPECT_EQ(table.entry_state(9001, src, 2000), lifecycle::EntryState::kExpired);
+  ASSERT_EQ(table.aged_entries().size(), 1u);
+  EXPECT_TRUE(table.aged_entries()[0].age.expired);
   EXPECT_EQ(table.lifecycle_stats().entries_expired, 1u);
   // The tombstone is permanent until relearned: still expired much later.
   EXPECT_FALSE(table.is_expected(9001, src, 9000));
+  EXPECT_TRUE(table.aged_entries()[0].age.expired);
   EXPECT_EQ(table.lifecycle_stats().entries_expired, 1u);  // counted once
+  EXPECT_EQ(table.lifecycle_stats().entries_refreshed, 1u);
 }
 
 TEST(EiaAging, RelearnAfterExpiryIsCountedAndLive) {
@@ -155,7 +163,8 @@ TEST(EiaAging, RelearnAfterExpiryIsCountedAndLive) {
   learn(table, 9001, src, 5100);
   EXPECT_EQ(table.lifecycle_stats().entries_relearned, 1u);
   EXPECT_TRUE(table.is_expected(9001, src, 5200));
-  EXPECT_EQ(table.entry_state(9001, src, 5200), lifecycle::EntryState::kEstablished);
+  ASSERT_EQ(table.aged_entries().size(), 1u);
+  EXPECT_EQ(table.aged_entries()[0].age, (lifecycle::EntryAge{5100, 5200, false}));
 }
 
 TEST(EiaAging, PreloadedRangesNeverAge) {
@@ -163,8 +172,6 @@ TEST(EiaAging, PreloadedRangesNeverAge) {
   table.add_expected(9001, prefix("3.0.0.0/11"));
   const auto src = addr("3.0.0.7");
   EXPECT_TRUE(table.is_expected(9001, src, 1u << 30));
-  EXPECT_EQ(table.entry_state(9001, src, 1u << 30),
-            lifecycle::EntryState::kEstablished);
   EXPECT_EQ(table.lifecycle_stats().entries_expired, 0u);
   EXPECT_EQ(table.aged_entry_count(), 0u);
 }
@@ -203,7 +210,7 @@ TEST(EiaAging, SweepMatchesLazyExpiryExactly) {
             lazy.lifecycle_stats().entries_expired);
 }
 
-TEST(EiaAging, DisabledConfigIsExactlyTheConstPath) {
+TEST(EiaAging, DisabledConfigNeverAges) {
   core::EiaTable table;  // default: aging off
   ASSERT_FALSE(table.aging_enabled());
   table.declare_ingress(9001);
@@ -243,8 +250,22 @@ TEST(EiaIoLifecycle, AgeMetadataRoundTripsByteIdentically) {
   EXPECT_EQ(core::export_eia(*imported), text);
   EXPECT_TRUE(imported->is_expected(9001, addr("10.1.2.3"), 1500));
   EXPECT_FALSE(imported->is_expected(9002, addr("10.5.0.9"), 1500));  // expired
-  EXPECT_EQ(imported->entry_state(9002, addr("10.5.0.9"), 1500),
-            lifecycle::EntryState::kExpired);
+  ASSERT_EQ(imported->aged_entries().size(), 2u);
+  EXPECT_EQ(imported->aged_entries()[1].ingress, 9002);
+  EXPECT_TRUE(imported->aged_entries()[1].age.expired);
+
+  // A legacy directive still carrying the retired stale_after parameter
+  // loads exactly like one without it.
+  const std::string directive = "lifecycle v1 max_idle=60000\n";
+  ASSERT_NE(text.find(directive), std::string::npos);
+  std::string legacy = text;
+  legacy.replace(text.find(directive), directive.size(),
+                 "lifecycle v1 max_idle=60000 stale_after=800\n");
+  auto reloaded = core::import_eia(legacy);
+  ASSERT_TRUE(reloaded.has_value()) << reloaded.error().message;
+  EXPECT_EQ(reloaded->config().lifecycle.max_idle_ms, 60000u);
+  EXPECT_EQ(reloaded->aged_entries(), table.aged_entries());
+  EXPECT_EQ(core::export_eia(*reloaded), text);
 }
 
 TEST(EiaIoLifecycle, AgingOffExportCarriesNoLifecycleLines) {
@@ -263,16 +284,21 @@ TEST(EiaIoLifecycle, LegacyDumpLoadsEstablishedUnderAgingConfig) {
   ASSERT_TRUE(imported.has_value()) << imported.error().message;
   ASSERT_TRUE(imported->aging_enabled());
   EXPECT_EQ(imported->aged_entry_count(), 0u);
-  // No metadata = treated as an operator preload: established forever.
-  EXPECT_EQ(imported->entry_state(9001, addr("10.1.2.3"), 1u << 30),
-            lifecycle::EntryState::kEstablished);
+  // No metadata = treated as an operator preload: a member forever.
   EXPECT_TRUE(imported->is_expected(9001, addr("10.1.2.3"), 1u << 30));
+  EXPECT_EQ(imported->lifecycle_stats().entries_expired, 0u);
 }
 
 TEST(EiaIoLifecycle, DirectiveAfterStateLinesIsRejected) {
   const std::string bad = "ingress 9001\n  10.1.2.0/24\nlifecycle v1 max_idle=5\n";
   const auto imported = core::import_eia(bad);
   EXPECT_FALSE(imported.has_value());
+  // A malformed legacy stale_after value is still an error, with its line.
+  const auto malformed = core::import_eia(
+      "# dump\nlifecycle v1 max_idle=5 stale_after=abc\ningress 9001\n");
+  ASSERT_FALSE(malformed.has_value());
+  EXPECT_NE(malformed.error().message.find("line 2"), std::string::npos)
+      << malformed.error().message;
 }
 
 // -- Verdict neutrality at the engine level --

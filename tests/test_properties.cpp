@@ -202,11 +202,12 @@ TEST_P(SeededProperty, ImportNeverCrashesOnMutatedDumps) {
     }
   }
   const std::string eia_dump = core::export_eia(eia);
+  ASSERT_NE(eia_dump.find("lifecycle v1 max_idle=60000\n"), std::string::npos);
 
   hopcount::HopCountTable hops;
   for (std::uint32_t i = 0; i < 48; ++i) {
-    (void)hops.observe(static_cast<core::IngressId>(9001 + i % 2), source(i % 8),
-                       static_cast<std::uint8_t>(50 + i % 8), 100 * i);
+    hops.observe(static_cast<core::IngressId>(9001 + i % 2), source(i % 8),
+                 static_cast<std::uint8_t>(50 + i % 8), 100 * i);
   }
   const std::string hop_dump = hopcount::export_hopcount(hops);
 

@@ -19,9 +19,11 @@ TEST(UdpReceiver, EphemeralBindReportsPort) {
 TEST(UdpReceiver, ReceiveWithoutTrafficIsEmpty) {
   auto receiver = UdpReceiver::bind(0);
   ASSERT_TRUE(receiver.has_value());
-  const auto datagram = receiver->receive();
-  ASSERT_TRUE(datagram.has_value());
-  EXPECT_TRUE(datagram->empty());
+  std::uint8_t buffer[64];
+  const auto received = receiver->receive_into(buffer);
+  ASSERT_TRUE(received.has_value());
+  EXPECT_FALSE(received->datagram);
+  EXPECT_EQ(received->bytes, 0u);
 }
 
 TEST(UdpPath, DatagramRoundTrip) {
@@ -34,13 +36,16 @@ TEST(UdpPath, DatagramRoundTrip) {
   ASSERT_TRUE(sender->send(receiver->port(), payload).has_value());
 
   // Loopback delivery is effectively immediate, but poll briefly anyway.
-  std::vector<std::uint8_t> got;
-  for (int i = 0; i < 100 && got.empty(); ++i) {
-    auto datagram = receiver->receive();
-    ASSERT_TRUE(datagram.has_value());
-    got = std::move(*datagram);
+  std::vector<std::uint8_t> buffer(65536);
+  ReceivedDatagram got;
+  for (int i = 0; i < 100 && !got.datagram; ++i) {
+    auto received = receiver->receive_into(buffer);
+    ASSERT_TRUE(received.has_value());
+    got = *received;
   }
-  EXPECT_EQ(got, payload);
+  ASSERT_TRUE(got.datagram);
+  EXPECT_EQ(std::vector<std::uint8_t>(buffer.begin(), buffer.begin() + got.bytes),
+            payload);
 }
 
 TEST(LiveCollector, CapturesMultiplexedExports) {
