@@ -21,8 +21,11 @@
 # tests cannot race. --producers is the focused subset to iterate on when
 # touching the multi-producer dispatch path (a strict subset of --tsan's
 # filter, so --all already covers it).
+#
+# Every requested lane runs even when an earlier one fails; the script
+# names the failed lanes at the end and exits non-zero if there are any.
 
-set -euo pipefail
+set -uo pipefail
 cd "$(dirname "$0")/.."
 
 run_asan=0
@@ -44,53 +47,72 @@ done
 
 jobs="$(nproc 2>/dev/null || echo 2)"
 
-echo "== tier-1: release build + ctest =="
-cmake --preset release
-cmake --build --preset release -j "$jobs"
-ctest --preset release
+# Each lane is one && chain: it stops at its own first failing step.
+tier1() {
+  cmake --preset release &&
+    cmake --build --preset release -j "$jobs" &&
+    ctest --preset release
+}
 
-if [[ "$run_asan" == 1 ]]; then
-  echo "== lane: AddressSanitizer =="
-  cmake --preset asan
-  cmake --build --preset asan -j "$jobs"
-  ctest --preset asan
-fi
+asan() {
+  cmake --preset asan &&
+    cmake --build --preset asan -j "$jobs" &&
+    ctest --preset asan
+}
 
-if [[ "$run_tsan" == 1 ]]; then
-  echo "== lane: ThreadSanitizer (concurrency tests) =="
+tsan_build() {
+  cmake --preset tsan && cmake --build --preset tsan -j "$jobs"
+}
+
+tsan() {
   # EiaTable*/EiaIo* ride along so the EIA sets (engine-private state the
   # shard sweeps exercise concurrently) get sanitizer coverage next to the
   # runtime tests.
-  cmake --preset tsan
-  cmake --build --preset tsan -j "$jobs"
-  ./build-tsan/tests/infilter_tests \
-    --gtest_filter='ShardedRuntime*:SpscRing*:InFilterNode*:Ingest*:Tracer*:TraceRuntime*:TraceRing*:ThreadLane*:EiaTable*:EiaIo*'
-fi
+  tsan_build &&
+    ./build-tsan/tests/infilter_tests \
+      --gtest_filter='ShardedRuntime*:SpscRing*:InFilterNode*:Ingest*:Tracer*:TraceRuntime*:TraceRing*:ThreadLane*:EiaTable*:EiaIo*'
+}
 
-if [[ "$run_producers" == 1 ]]; then
-  echo "== lane: ThreadSanitizer multi-producer sweep =="
-  cmake --preset tsan
-  cmake --build --preset tsan -j "$jobs"
-  ./build-tsan/tests/infilter_tests \
-    --gtest_filter='ShardedRuntime.MergeKeepsSeqStrictlyMonotonePerShard:ShardedRuntime.MultiProducerSweepReplaysIdenticalAlertStream:ShardedRuntime.SnapshotAndFlushAreSafeWhileProducersSubmit:ShardedRuntime.ProducerStopsEarlyWithoutBeacon:ShardedRuntime.ClaimsLargerThanRingsDoNotDeadlock:IngestPipeline.TagsArePartitionedAndMonotonePerReceiver:IngestStress.MultiSocketMultiReceiverWithConcurrentQuiesce'
-fi
+producers() {
+  tsan_build &&
+    ./build-tsan/tests/infilter_tests \
+      --gtest_filter='ShardedRuntime.MergeKeepsSeqStrictlyMonotonePerShard:ShardedRuntime.MultiProducerSweepReplaysIdenticalAlertStream:ShardedRuntime.SnapshotAndFlushAreSafeWhileProducersSubmit:ShardedRuntime.ProducerStopsEarlyWithoutBeacon:ShardedRuntime.ClaimsLargerThanRingsDoNotDeadlock:IngestPipeline.TagsArePartitionedAndMonotonePerReceiver:IngestStress.MultiSocketMultiReceiverWithConcurrentQuiesce'
+}
 
-if [[ "$run_soak" == 1 ]]; then
-  echo "== lane: ThreadSanitizer lifecycle soak =="
+soak() {
   # The resize/flush/snapshot-vs-producers race, the resize bit-consistency
   # sweep, NNS across a scan-off resize, the aging property tests, and the
   # short churn-soak harness (tests/test_lifecycle.cpp) under TSan.
-  cmake --preset tsan
-  cmake --build --preset tsan -j "$jobs"
-  ./build-tsan/tests/infilter_tests \
-    --gtest_filter='Lifecycle*:ShardedRuntime.ScanOffNnsSurvivesResize:EiaAging*:EiaSetRemove*:EiaIoLifecycle*'
-fi
+  tsan_build &&
+    ./build-tsan/tests/infilter_tests \
+      --gtest_filter='Lifecycle*:ShardedRuntime.ScanOffNnsSurvivesResize:EiaAging*:EiaSetRemove*:EiaIoLifecycle*'
+}
 
-if [[ "$run_ubsan" == 1 ]]; then
-  echo "== lane: UndefinedBehaviorSanitizer =="
-  cmake --preset ubsan
-  cmake --build --preset ubsan -j "$jobs"
-  ctest --preset ubsan
-fi
+ubsan() {
+  cmake --preset ubsan &&
+    cmake --build --preset ubsan -j "$jobs" &&
+    ctest --preset ubsan
+}
 
+failed=()
+# Runs one lane and records it when it fails; later lanes still run.
+lane() {
+  local title="$1" fn="$2"
+  echo "== $title =="
+  if ! "$fn"; then
+    failed+=("$fn")
+  fi
+}
+
+lane "tier-1: release build + ctest" tier1
+[[ "$run_asan" == 1 ]] && lane "lane: AddressSanitizer" asan
+[[ "$run_tsan" == 1 ]] && lane "lane: ThreadSanitizer (concurrency tests)" tsan
+[[ "$run_producers" == 1 ]] && lane "lane: ThreadSanitizer multi-producer sweep" producers
+[[ "$run_soak" == 1 ]] && lane "lane: ThreadSanitizer lifecycle soak" soak
+[[ "$run_ubsan" == 1 ]] && lane "lane: UndefinedBehaviorSanitizer" ubsan
+
+if (( ${#failed[@]} > 0 )); then
+  echo "== failed lanes: ${failed[*]} ==" >&2
+  exit 1
+fi
 echo "== all requested lanes passed =="

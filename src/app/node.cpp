@@ -64,6 +64,10 @@ void InFilterNode::add_expected(core::IngressId ingress, const net::Prefix& pref
   ingest_->quiesce([&] { runtime_->add_expected(ingress, prefix); });
 }
 
+void InFilterNode::install_eia(const core::EiaTable& table) {
+  ingest_->quiesce([&] { runtime_->install_eia(table); });
+}
+
 void InFilterNode::install_hopcount(const hopcount::HopCountTable& table) {
   ingest_->quiesce([&] { runtime_->install_hopcount(table); });
 }

@@ -95,6 +95,9 @@ class InFilterNode {
   /// Training-phase helpers (Figure 11), fanned out to every shard with
   /// the receivers parked.
   void add_expected(core::IngressId ingress, const net::Prefix& prefix);
+  /// Installs a whole EIA table, learned state included
+  /// (runtime::ShardedRuntime::install_eia).
+  void install_eia(const core::EiaTable& table);
   /// Preloads a learned hop-count table (TTL detection; src/hopcount).
   void install_hopcount(const hopcount::HopCountTable& table);
   void train(std::span<const netflow::V5Record> normal_flows);

@@ -1,5 +1,6 @@
 #include "core/engine.h"
 
+#include <array>
 #include <cassert>
 
 #include "obs/stage_timer.h"
@@ -22,6 +23,22 @@ std::uint64_t flow_rng_seed(std::uint64_t seed, const netflow::V5Record& r) {
   };
   for (const std::uint64_t word : words) h = util::SplitMix64{h ^ word}.next();
   return h;
+}
+
+/// The histogram that times this observation of a stage: every
+/// kStageSampleEvery-th one, counting from the stage's first, gets it;
+/// the rest get null, which leaves their StageTimer idle (no clock read).
+/// `observations` never resets, so which observations are timed does not
+/// depend on how the flow sequence is cut into batches.
+obs::Histogram* sampled(std::uint64_t& observations, obs::Histogram* histogram) {
+  return observations++ % InFilterEngine::kStageSampleEvery == 0 ? histogram
+                                                                 : nullptr;
+}
+
+/// Adds a batch's plain-local tally to its counter; a zero tally costs no
+/// atomic update.
+void publish(obs::Counter* counter, std::uint64_t n) {
+  if (n != 0) counter->inc(n);
 }
 
 }  // namespace
@@ -148,7 +165,12 @@ void InFilterEngine::pre_process_batch(std::span<const FlowInput> flows,
   assert(flows.size() == out.size());
   if (flows.empty()) return;
   const double batch_start_us = obs::monotonic_us();
-  std::size_t legal = 0;
+  // Per-batch tallies, published to the counters once at the end: the
+  // counters are exact whenever a batch call has returned.
+  std::uint64_t legal = 0;
+  std::uint64_t hits = 0;
+  std::uint64_t learned_count = 0;
+  std::array<std::uint64_t, 3> ttl_classes{};  // indexed by hopcount::TtlClass
 
   // The stateful EIA stage, flow by flow in batch order, so auto-learning
   // mutates the table in dispatch order. A suspect's expected-ingress
@@ -156,14 +178,13 @@ void InFilterEngine::pre_process_batch(std::span<const FlowInput> flows,
   // flows can update the EIA table.
   for (std::size_t i = 0; i < flows.size(); ++i) {
     const auto& [record, ingress, now] = flows[i];
-    metrics_.flows_total->inc();
     Verdict& verdict = out[i];
     verdict = Verdict{};
 
     // Figure 12, case (b): the ingress expects this source -- legal flow.
     bool expected;
     {
-      obs::StageTimer timer(metrics_.stage_eia_us);
+      obs::StageTimer timer(sampled(eia_observations_, metrics_.stage_eia_us));
       expected = eia_.is_expected(ingress, record.src_ip, now);
     }
 
@@ -194,21 +215,19 @@ void InFilterEngine::pre_process_batch(std::span<const FlowInput> flows,
     // it unchanged.
     auto ttl = hopcount::TtlClass::kUnknown;
     if (config_.use_hopcount) {
-      obs::StageTimer timer(metrics_.stage_hopcount_us);
+      obs::StageTimer timer(
+          sampled(hopcount_observations_, metrics_.stage_hopcount_us));
       const auto witness =
           expected ? std::optional<IngressId>{ingress} : home_ingress();
       if (witness.has_value()) {
         ttl = hopcount_.analyze(*witness, record.src_ip, record.ttl, now,
                                 expected);
       }
-      (ttl == hopcount::TtlClass::kConsistent ? metrics_.hopcount_consistent
-       : ttl == hopcount::TtlClass::kMiss     ? metrics_.hopcount_miss
-                                              : metrics_.hopcount_unknown)
-          ->inc();
+      ++ttl_classes[static_cast<std::size_t>(ttl)];
     }
 
     if (expected) {
-      metrics_.eia_hits->inc();
+      ++hits;
       if (ttl == hopcount::TtlClass::kMiss) {
         // In-EIA spoof suspicion: the address is vouched for but the path
         // length is wrong. One disagreeing witness makes a suspect,
@@ -219,11 +238,9 @@ void InFilterEngine::pre_process_batch(std::span<const FlowInput> flows,
         positions.push_back(static_cast<std::uint32_t>(i));
         continue;
       }
-      metrics_.verdict_legal->inc();
       ++legal;
       continue;
     }
-    metrics_.eia_misses->inc();
 
     // Case (a): possible attack. The auto-learning rule of Section 5.2 runs
     // regardless of the final verdict: persistent traffic from a new source
@@ -233,7 +250,7 @@ void InFilterEngine::pre_process_batch(std::span<const FlowInput> flows,
     verdict.suspect = true;
     const std::optional<IngressId> pre_learn_home = home_ingress();
     const bool learned = eia_.observe_mismatch(ingress, record.src_ip, now);
-    if (learned) metrics_.eia_learned->inc();
+    learned_count += learned ? 1 : 0;
     // The alert context is the post-learn first match, derived without a
     // second scan: learning added exactly (ingress, src /24), so the first
     // match becomes min(home, ingress) -- and an unchanged table keeps
@@ -249,15 +266,25 @@ void InFilterEngine::pre_process_batch(std::span<const FlowInput> flows,
     positions.push_back(static_cast<std::uint32_t>(i));
   }
 
+  metrics_.flows_total->inc(flows.size());
+  publish(metrics_.eia_hits, hits);
+  publish(metrics_.eia_misses, flows.size() - hits);
+  publish(metrics_.eia_learned, learned_count);
+  publish(metrics_.verdict_legal, legal);
+  publish(metrics_.hopcount_unknown,
+          ttl_classes[static_cast<std::size_t>(hopcount::TtlClass::kUnknown)]);
+  publish(metrics_.hopcount_consistent,
+          ttl_classes[static_cast<std::size_t>(hopcount::TtlClass::kConsistent)]);
+  publish(metrics_.hopcount_miss,
+          ttl_classes[static_cast<std::size_t>(hopcount::TtlClass::kMiss)]);
+
   // Legal flows finish here, so their end-to-end latency sample is this
   // pass alone (batch-amortized); suspects get theirs from
   // finish_suspect_batch, keeping one process_us sample per flow overall.
   if (metrics_.process_us != nullptr && legal > 0) {
     const double per_flow_us = (obs::monotonic_us() - batch_start_us) /
                                static_cast<double>(flows.size());
-    for (std::size_t i = 0; i < legal; ++i) {
-      metrics_.process_us->observe(per_flow_us);
-    }
+    metrics_.process_us->observe_n(per_flow_us, legal);
   }
 }
 
@@ -270,6 +297,14 @@ void InFilterEngine::finish_suspect_batch(std::span<const SuspectFlow> suspects,
   scratch.nns_ids.clear();
   scratch.nns_records.clear();
   scratch.nns_rngs.clear();
+  // Per-batch tallies, published once at the end (see pre_process_batch).
+  std::uint64_t fused = 0;
+  std::uint64_t scan_analyzed = 0;
+  std::uint64_t scan_network = 0;
+  std::uint64_t scan_host = 0;
+  std::uint64_t attack_eia = 0;
+  std::uint64_t cleared_learned = 0;
+  std::uint64_t nns_anomalous = 0;
 
   // Pass 1 -- the stateful scan stage (Enhanced InFilter: Scan Analysis
   // sits between EIA and NNS), suspect by suspect in span order. Suspects
@@ -293,24 +328,21 @@ void InFilterEngine::finish_suspect_batch(std::span<const SuspectFlow> suspects,
         !suspect.learned) {
       verdict.attack = true;
       verdict.stage = alert::DetectionStage::kHopCountFusion;
-      metrics_.verdict_attack_fused->inc();
+      ++fused;
       continue;
     }
 
     if (config_.use_scan_analysis) {
       ScanVerdict scan;
       {
-        obs::StageTimer timer(metrics_.stage_scan_us);
+        obs::StageTimer timer(sampled(scan_observations_, metrics_.stage_scan_us));
         scan = scan_.observe(suspect.record);
       }
-      metrics_.scan_analyzed->inc();
+      ++scan_analyzed;
       if (scan != ScanVerdict::kClean) {
-        (scan == ScanVerdict::kNetworkScan ? metrics_.scan_network
-                                           : metrics_.scan_host)
-            ->inc();
+        ++(scan == ScanVerdict::kNetworkScan ? scan_network : scan_host);
         verdict.attack = true;
         verdict.stage = alert::DetectionStage::kScanAnalysis;
-        metrics_.verdict_attack_scan->inc();
         continue;
       }
     }
@@ -318,9 +350,7 @@ void InFilterEngine::finish_suspect_batch(std::span<const SuspectFlow> suspects,
     if (degenerate_basic) {
       verdict.attack = !suspect.learned;
       verdict.stage = alert::DetectionStage::kEiaMismatch;
-      (verdict.attack ? metrics_.verdict_attack_eia
-                      : metrics_.verdict_cleared_learned)
-          ->inc();
+      ++(verdict.attack ? attack_eia : cleared_learned);
       continue;
     }
 
@@ -332,7 +362,8 @@ void InFilterEngine::finish_suspect_batch(std::span<const SuspectFlow> suspects,
   // Pass 2 -- the stateless NNS stage over the gathered suspects as one
   // batch. The stage histogram records the batch-amortized per-flow cost,
   // one sample per assessed flow.
-  if (const std::size_t assessed = scratch.nns_ids.size(); assessed > 0) {
+  const std::size_t assessed = scratch.nns_ids.size();
+  if (assessed > 0) {
     if (scratch.nns_out.size() < assessed) scratch.nns_out.resize(assessed);
     const double nns_start_us = obs::monotonic_us();
     clusters_->assess_batch(
@@ -341,24 +372,17 @@ void InFilterEngine::finish_suspect_batch(std::span<const SuspectFlow> suspects,
         std::span<TrainedClusters::Assessment>(scratch.nns_out.data(), assessed),
         scratch.clusters);
     if (metrics_.stage_nns_us != nullptr) {
-      const double per_flow_us =
-          (obs::monotonic_us() - nns_start_us) / static_cast<double>(assessed);
-      for (std::size_t j = 0; j < assessed; ++j) {
-        metrics_.stage_nns_us->observe(per_flow_us);
-      }
+      metrics_.stage_nns_us->observe_n(
+          (obs::monotonic_us() - nns_start_us) / static_cast<double>(assessed),
+          assessed);
     }
     for (std::size_t j = 0; j < assessed; ++j) {
       Verdict& verdict = out[scratch.nns_ids[j]];
       verdict.nns = scratch.nns_out[j];
-      metrics_.nns_assessed->inc();
       if (verdict.nns->anomalous) {
-        metrics_.nns_anomalous->inc();
+        ++nns_anomalous;
         verdict.attack = true;
         verdict.stage = alert::DetectionStage::kNnsDistance;
-        metrics_.verdict_attack_nns->inc();
-      } else {
-        metrics_.nns_normal->inc();
-        metrics_.verdict_cleared_nns->inc();
       }
     }
   }
@@ -366,20 +390,43 @@ void InFilterEngine::finish_suspect_batch(std::span<const SuspectFlow> suspects,
   // Pass 3 -- alert emission in span order: ids and contents are exactly
   // those of emitting each alert at its suspect's turn (the
   // expected-ingress context was snapshotted at EIA-check time).
+  std::array<std::uint64_t, 4> alerts{};  // indexed by alert::DetectionStage
   if (sink_ != nullptr) {
     for (std::size_t i = 0; i < suspects.size(); ++i) {
       if (!out[i].attack) continue;
+      ++alerts[static_cast<std::size_t>(out[i].stage)];
       emit_alert_with(suspects[i].record, suspects[i].ingress, suspects[i].now,
                       out[i], suspects[i].expected);
     }
   }
 
+  publish(metrics_.verdict_attack_fused, fused);
+  publish(metrics_.scan_analyzed, scan_analyzed);
+  publish(metrics_.scan_network, scan_network);
+  publish(metrics_.scan_host, scan_host);
+  publish(metrics_.verdict_attack_scan, scan_network + scan_host);
+  publish(metrics_.verdict_attack_eia, attack_eia);
+  publish(metrics_.verdict_cleared_learned, cleared_learned);
+  publish(metrics_.nns_assessed, assessed);
+  publish(metrics_.nns_anomalous, nns_anomalous);
+  publish(metrics_.nns_normal, assessed - nns_anomalous);
+  publish(metrics_.verdict_attack_nns, nns_anomalous);
+  publish(metrics_.verdict_cleared_nns, assessed - nns_anomalous);
+  publish(metrics_.alerts_total,
+          alerts[0] + alerts[1] + alerts[2] + alerts[3]);
+  publish(metrics_.alerts_eia,
+          alerts[static_cast<std::size_t>(alert::DetectionStage::kEiaMismatch)]);
+  publish(metrics_.alerts_scan,
+          alerts[static_cast<std::size_t>(alert::DetectionStage::kScanAnalysis)]);
+  publish(metrics_.alerts_nns,
+          alerts[static_cast<std::size_t>(alert::DetectionStage::kNnsDistance)]);
+  publish(metrics_.alerts_fused,
+          alerts[static_cast<std::size_t>(alert::DetectionStage::kHopCountFusion)]);
+
   if (metrics_.process_us != nullptr) {
-    const double per_flow_us = (obs::monotonic_us() - batch_start_us) /
-                               static_cast<double>(suspects.size());
-    for (std::size_t i = 0; i < suspects.size(); ++i) {
-      metrics_.process_us->observe(per_flow_us);
-    }
+    metrics_.process_us->observe_n((obs::monotonic_us() - batch_start_us) /
+                                       static_cast<double>(suspects.size()),
+                                   suspects.size());
   }
 }
 
@@ -407,15 +454,6 @@ void InFilterEngine::emit_alert_with(const netflow::V5Record& record,
                                      IngressId ingress, util::TimeMs now,
                                      const Verdict& verdict,
                                      std::optional<IngressId> expected) {
-  metrics_.alerts_total->inc();
-  switch (verdict.stage) {
-    case alert::DetectionStage::kEiaMismatch: metrics_.alerts_eia->inc(); break;
-    case alert::DetectionStage::kScanAnalysis: metrics_.alerts_scan->inc(); break;
-    case alert::DetectionStage::kNnsDistance: metrics_.alerts_nns->inc(); break;
-    case alert::DetectionStage::kHopCountFusion:
-      metrics_.alerts_fused->inc();
-      break;
-  }
   alert::Alert a;
   a.id = ++next_alert_id_;
   a.create_time = now;

@@ -97,6 +97,13 @@ struct SuspectFlow {
 
 class InFilterEngine {
  public:
+  /// The EIA, hop-count and scan stage timers time every
+  /// kStageSampleEvery-th observation of their own stage (the first
+  /// included): a stage histogram's count is ceil(observations / 64) per
+  /// engine, whatever the batch sizes. A constant, not a setting -- the
+  /// rate keeps two clock reads and a histogram update off 63 of 64 flows.
+  static constexpr std::uint64_t kStageSampleEvery = 64;
+
   /// `sink` may be null (no alert emission); not owned.
   explicit InFilterEngine(EngineConfig config, alert::AlertSink* sink = nullptr);
 
@@ -136,8 +143,11 @@ class InFilterEngine {
   /// sizes 1, 7 and 256 bit-for-bit). What batching buys: the NNS stage
   /// runs once over the whole batch through TrainedClusters::assess_batch
   /// (contiguous probe tables, pooled encodings -- zero per-flow
-  /// allocations at steady state). Latency histograms record
-  /// batch-amortized per-flow values.
+  /// allocations at steady state). The process and NNS latency histograms
+  /// record batch-amortized per-flow values, one sample per flow; the EIA,
+  /// hop-count and scan stage histograms time 1 in kStageSampleEvery of
+  /// their stage's observations. Counters are tallied per batch and are
+  /// exact whenever a batch call has returned.
   /// Precondition: flows.size() == out.size().
   void process_batch(std::span<const FlowInput> flows, std::span<Verdict> out);
 
@@ -251,6 +261,11 @@ class InFilterEngine {
   obs::Registry registry_;
   obs::PipelineMetrics metrics_;
   std::uint64_t next_alert_id_ = 0;
+  /// Per-stage observation counts behind the sampled stage timers; never
+  /// reset, so the timed subset does not depend on batch cuts.
+  std::uint64_t eia_observations_ = 0;
+  std::uint64_t hopcount_observations_ = 0;
+  std::uint64_t scan_observations_ = 0;
   BatchScratch batch_scratch_;
 };
 

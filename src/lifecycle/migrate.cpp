@@ -75,6 +75,16 @@ EngineHarvest harvest_engines(
   return harvest;
 }
 
+EngineHarvest harvest_eia(const core::EiaTable& table) {
+  EngineHarvest harvest;
+  for (const core::IngressId ingress : table.ingresses()) {
+    harvest.cidrs.emplace_back(ingress, table.set_for(ingress)->to_cidrs());
+  }
+  harvest.ages = table.aged_entries();
+  harvest.pending = table.pending_entries();
+  return harvest;
+}
+
 void install_engine_state(const EngineHarvest& harvest,
                           core::InFilterEngine& engine, std::size_t shard,
                           std::size_t new_shards) {

@@ -60,6 +60,12 @@ struct EngineHarvest {
 [[nodiscard]] EngineHarvest harvest_engines(
     const std::vector<const core::InFilterEngine*>& engines);
 
+/// The image of one EIA table -- membership, age metadata and pending
+/// learn counters -- as harvest_engines would take it from a one-shard
+/// pool: how an imported dump (core/eia_io.h) is installed with its
+/// learned state intact.
+[[nodiscard]] EngineHarvest harvest_eia(const core::EiaTable& table);
+
 /// Installs the image into new shard `shard` of `new_shards`. Membership
 /// and hop-count ranges are replicated; age metadata and pending counters
 /// are filtered to the keys this shard owns.

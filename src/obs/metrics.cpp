@@ -51,15 +51,17 @@ std::vector<double> Histogram::exponential_bounds(double start, double factor,
   return bounds;
 }
 
-void Histogram::observe(double value) noexcept {
+void Histogram::observe_n(double value, std::uint64_t n) noexcept {
+  if (n == 0) return;
   // Branch-light search over the fixed bounds; bucket b holds values in
   // (bounds[b-1], bounds[b]], bucket bounds_.size() everything larger.
   const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), value);
   const auto bucket = static_cast<std::size_t>(it - bounds_.begin());
-  buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
+  buckets_[bucket].fetch_add(n, std::memory_order_relaxed);
+  count_.fetch_add(n, std::memory_order_relaxed);
+  const double added = value * static_cast<double>(n);
   double sum = sum_.load(std::memory_order_relaxed);
-  while (!sum_.compare_exchange_weak(sum, sum + value, std::memory_order_relaxed)) {
+  while (!sum_.compare_exchange_weak(sum, sum + added, std::memory_order_relaxed)) {
   }
 }
 

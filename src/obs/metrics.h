@@ -11,7 +11,9 @@
 // Hot-path discipline:
 //   * Counter/Gauge/Histogram updates are single relaxed atomic ops (the
 //     histogram adds one branch-light bucket search over a fixed array)
-//     and never allocate or lock.
+//     and never allocate or lock. Each still costs an atomic
+//     read-modify-write, so hot loops tally in plain locals and publish
+//     once per batch: Counter::inc(n), Histogram::observe_n(value, n).
 //   * Registration and snapshotting take a mutex and allocate; both are
 //     setup-time / scrape-time operations, never per-flow.
 //
@@ -100,7 +102,11 @@ class Histogram {
                                                               double factor,
                                                               int count);
 
-  void observe(double value) noexcept;
+  /// Records `n` observations of one value: one bucket add, one count add
+  /// and one sum update, however large `n` is. How a batch-amortized
+  /// per-item latency keeps one sample per item without n atomic updates.
+  void observe_n(double value, std::uint64_t n) noexcept;
+  void observe(double value) noexcept { observe_n(value, 1); }
 
   [[nodiscard]] std::uint64_t count() const noexcept {
     return count_.load(std::memory_order_relaxed);

@@ -62,14 +62,15 @@ PipelineMetrics::PipelineMetrics(Registry& r)
                               "Delivered alerts raised by EIA + TTL fusion")),
       stage_eia_us(&r.histogram("infilter_stage_eia_latency_us",
                                 default_latency_bounds_us(),
-                                "EIA lookup wall time per flow (us)")),
+                                "EIA lookup wall time per sampled flow, 1 in 64 (us)")),
       stage_hopcount_us(
           &r.histogram("infilter_stage_hopcount_latency_us",
                        default_latency_bounds_us(),
-                       "Hop-count classify/learn wall time per flow (us)")),
+                       "Hop-count classify/learn wall time per sampled flow, "
+                       "1 in 64 (us)")),
       stage_scan_us(&r.histogram("infilter_stage_scan_latency_us",
                                  default_latency_bounds_us(),
-                                 "Scan analysis wall time per suspect (us)")),
+                                 "Scan analysis wall time per sampled suspect, 1 in 64 (us)")),
       stage_nns_us(&r.histogram("infilter_stage_nns_latency_us",
                                 default_latency_bounds_us(),
                                 "NNS query wall time per suspect (us)")),

@@ -1,8 +1,8 @@
 // The detection pipeline's metric set.
 //
 // One PipelineMetrics instance bundles every instrument the EIA -> Scan ->
-// NNS pipeline updates per flow, registered by canonical name so any
-// exporter, test, or dashboard can rely on the schema:
+// NNS pipeline updates, registered by canonical name so any exporter,
+// test, or dashboard can rely on the schema:
 //
 //   flow accounting    infilter_flows_total
 //   EIA stage          infilter_eia_{hits,misses,learned}_total
@@ -15,6 +15,16 @@
 //   alerts delivered   infilter_alerts{,_eia,_scan,_nns,_fused}_total
 //   stage latency      infilter_stage_{eia,hopcount,scan,nns}_latency_us,
 //                      infilter_process_latency_us  (histograms, us)
+//
+// The engine (core/engine.h) updates these once per batch, not per flow:
+// counters are tallied in plain locals and published with one inc(n)
+// each, so they are exact whenever a batch call has returned. The process
+// and NNS histograms get one batch-amortized sample per flow through
+// observe_n. The EIA, hop-count and scan histograms are sampled: each
+// times 1 in 64 observations of its own stage, counted per engine across
+// batches, so an engine's count is ceil(observations / 64) however the
+// flow sequence is cut into batches (a sharded runtime's merged count is
+// the sum over its engines).
 //
 // Invariants (checked by tests/test_obs.cpp and the integration suite):
 //   * flows_total == sum of the seven terminal verdict counters;

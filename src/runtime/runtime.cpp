@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <limits>
 #include <queue>
 #include <string>
 
@@ -207,6 +208,15 @@ void ShardedRuntime::add_expected(core::IngressId ingress,
   // below mutates, and the gate only stops *new* submits.
   flush_locked();
   for (auto& shard : shards_) shard->engine->add_expected(ingress, prefix);
+}
+
+void ShardedRuntime::install_eia(const core::EiaTable& table) {
+  const lifecycle::EngineHarvest image = lifecycle::harvest_eia(table);
+  std::unique_lock gate(submit_gate_);
+  flush_locked();
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    lifecycle::install_engine_state(image, *shards_[s]->engine, s, shards_.size());
+  }
 }
 
 void ShardedRuntime::install_hopcount(const hopcount::HopCountTable& table) {
@@ -620,8 +630,8 @@ void ShardedRuntime::worker_main(Shard& shard) {
                             origin.recv_ns, origin.hop_ns};
       // Block, never drop: a suspect lost here would desynchronize the
       // scan buffer from the serial engine for every later flow. The wait
-      // is bounded -- the scan thread unconditionally drains this ring
-      // into its (unbounded) reorder heap on every pass.
+      // is bounded -- the scan thread drains this ring whenever its
+      // reorder heap is short of a batch or holds nothing releasable.
       while (!shard.suspect_ring->try_push(item)) {
         wake_scan();
         std::this_thread::sleep_for(kDrainNap);
@@ -664,7 +674,15 @@ void ShardedRuntime::scan_main() {
       return a.seq > b.seq;  // min-heap
     }
   };
-  std::priority_queue<SeqSuspect, std::vector<SeqSuspect>, BySeq> pending;
+  // The reorder heap's bound: a batch to release plus one full ring per
+  // shard. Its storage is reserved once.
+  const std::size_t ring_capacity = shards_.front()->suspect_ring->capacity();
+  const std::size_t backlog_bound =
+      config_.max_batch + shards_.size() * ring_capacity;
+  std::vector<SeqSuspect> storage;
+  storage.reserve(backlog_bound);
+  std::priority_queue<SeqSuspect, std::vector<SeqSuspect>, BySeq> pending(
+      BySeq{}, std::move(storage));
   obs::ThreadLane* lane = nullptr;
   if (tracer_ != nullptr) {
     // The probe counts only ring occupancy, not the reorder heap: a heap
@@ -680,27 +698,72 @@ void ShardedRuntime::scan_main() {
   std::vector<core::SuspectFlow> suspects;
   std::vector<FlowItem> origins;
   std::vector<core::Verdict> verdicts;
-  SeqSuspect popped;
-  for (;;) {
-    // Read the watermarks *before* draining the rings: a suspect with
-    // seq <= a shard's acquired watermark is already in that shard's ring
-    // (the worker pushes before its release store), so after the drain the
-    // heap holds every suspect at or below the safe bound.
+  // Moves up to `budget` suspects from the rings into the heap, lowest seq
+  // first across the rings and at most one ring's worth per shard (a
+  // worker refilling its ring meanwhile cannot keep the drain going).
+  // Returns the safe bound: every suspect with seq <= it is now in the
+  // heap. Shard s contributes its watermark, read *before* the drain -- a
+  // suspect with seq <= an acquired watermark is already in that shard's
+  // ring (the worker pushes before its release store) -- or, when suspects
+  // are left in its ring, one below the first of them: each ring holds
+  // its shard's suspects in seq order.
+  std::vector<std::size_t> taken(shards_.size());
+  const auto drain = [&](std::size_t budget) {
+    std::fill(taken.begin(), taken.end(), 0);
+    for (; budget > 0; --budget) {
+      const SeqSuspect* lowest = nullptr;
+      std::size_t from = 0;
+      for (std::size_t s = 0; s < shards_.size(); ++s) {
+        if (taken[s] == ring_capacity) continue;
+        const SeqSuspect* front = shards_[s]->suspect_ring->front();
+        if (front != nullptr && (lowest == nullptr || front->seq < lowest->seq)) {
+          lowest = front;
+          from = s;
+        }
+      }
+      if (lowest == nullptr) break;
+      pending.push(*lowest);
+      shards_[from]->suspect_ring->pop_front();
+      ++taken[from];
+    }
+    std::uint64_t bound = std::numeric_limits<std::uint64_t>::max();
     for (std::size_t s = 0; s < shards_.size(); ++s) {
-      watermarks[s] = shards_[s]->watermark.load(std::memory_order_acquire);
+      const SeqSuspect* front = shards_[s]->suspect_ring->front();
+      bound = std::min(bound, front == nullptr
+                                  ? watermarks[s]
+                                  : std::min(watermarks[s], front->seq - 1));
     }
-    for (auto& shard : shards_) {
-      while (shard->suspect_ring->try_pop(popped)) pending.push(popped);
+    return bound;
+  };
+  // The safe bound of the last drain.
+  std::uint64_t safe = 0;
+  for (;;) {
+    // Drain only while the heap is short of a batch, or when nothing in it
+    // is releasable. The second case is never skipped: a worker blocked on
+    // a full suspect ring cannot advance its watermark until the ring is
+    // drained, so waiting for releasable work there would hang.
+    if (pending.size() < config_.max_batch || pending.top().seq > safe) {
+      for (std::size_t s = 0; s < shards_.size(); ++s) {
+        watermarks[s] = shards_[s]->watermark.load(std::memory_order_acquire);
+      }
+      // No suspect below the bound can still be in flight anywhere, so
+      // everything up to it can be applied to the shared scan buffer in
+      // sequence order -- exactly the order a serial engine processing the
+      // realized dispatch sequence would use. A drain fills the heap up to
+      // its bound; only when that leaves nothing releasable does a second
+      // drain go past it, to unblock the workers.
+      safe = drain(backlog_bound - std::min(backlog_bound, pending.size()));
+      if (pending.empty() || pending.top().seq > safe) {
+        safe = drain(std::numeric_limits<std::size_t>::max());
+      }
+      if (pending.size() > scan_backlog_peak_.load(std::memory_order_relaxed)) {
+        scan_backlog_peak_.store(pending.size(), std::memory_order_relaxed);
+      }
     }
-    // No suspect below min(watermarks) can still be in flight anywhere, so
-    // everything up to it can be applied to the shared scan buffer in
-    // sequence order -- exactly the order a serial engine processing the
-    // realized dispatch sequence would use.
-    const std::uint64_t safe =
-        *std::min_element(watermarks.begin(), watermarks.end());
     suspects.clear();
     origins.clear();
-    while (!pending.empty() && pending.top().seq <= safe) {
+    while (!pending.empty() && pending.top().seq <= safe &&
+           suspects.size() < config_.max_batch) {
       const SeqSuspect& top = pending.top();
       suspects.push_back(top.suspect);
       origins.push_back(FlowItem{top.suspect.record, top.suspect.ingress,
@@ -925,6 +988,7 @@ RuntimeStats ShardedRuntime::stats() const {
   out.processed += retired_processed_.load(std::memory_order_relaxed);
   out.suspects_forwarded = suspects_forwarded_.load(std::memory_order_relaxed);
   out.suspects_completed = suspects_completed_.load(std::memory_order_relaxed);
+  out.scan_backlog_peak = scan_backlog_peak_.load(std::memory_order_relaxed);
   return out;
 }
 

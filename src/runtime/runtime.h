@@ -173,6 +173,12 @@ struct RuntimeStats {
   std::uint64_t batches = 0;             ///< worker merge batches
   std::uint64_t suspects_forwarded = 0;  ///< EIA misses handed to the scan stage
   std::uint64_t suspects_completed = 0;  ///< suspects finished by the scan stage
+  /// High-water occupancy of the scan stage's reorder heap. The heap is
+  /// drained into only while it holds fewer than max_batch suspects (or
+  /// nothing releasable), one ring capacity per shard at most, so it stays
+  /// within max_batch + shards x ring capacity unless a lagging shard
+  /// holds every buffered suspect back.
+  std::uint64_t scan_backlog_peak = 0;
 };
 
 /// One unit of work: the arguments of InFilterEngine::process().
@@ -227,6 +233,11 @@ class ShardedRuntime {
 
   /// Preloads an EIA entry into every shard's table.
   void add_expected(core::IngressId ingress, const net::Prefix& prefix);
+  /// Installs a whole EIA table as the shards' EIA state, the way resize()
+  /// reinstalls a harvest: membership on every shard, age metadata and
+  /// pending learn counters on the shard that owns each key. A reloaded
+  /// dump (core/eia_io.h) keeps its learned entries' ages this way.
+  void install_eia(const core::EiaTable& table);
   /// Installs a previously learned hop-count table into every shard
   /// engine (each keeps the copy covering its own key subset).
   void install_hopcount(const hopcount::HopCountTable& table);
@@ -459,6 +470,8 @@ class ShardedRuntime {
   std::atomic<std::uint64_t> next_seq_{0};
   std::atomic<std::uint64_t> suspects_forwarded_{0};
   std::atomic<std::uint64_t> suspects_completed_{0};
+  /// RuntimeStats::scan_backlog_peak; written by the scan thread only.
+  std::atomic<std::uint64_t> scan_backlog_peak_{0};
   /// CPU placement accounting (affinity is a hint; failures are counted,
   /// never fatal).
   std::atomic<std::uint64_t> pinned_threads_{0};

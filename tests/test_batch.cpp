@@ -157,6 +157,52 @@ TEST(BatchGolden, MetricsTotalsMatchPerFlow) {
   }
 }
 
+/// The EIA, hop-count and scan stage timers time 1 in kStageSampleEvery
+/// observations of their own stage, counted per engine across batches: each
+/// histogram's count is ceil(observations / 64) at every batch size, while
+/// the per-flow NNS and process histograms keep one sample per flow.
+TEST(BatchGolden, SampledStageHistogramsTimeOneIn64) {
+  static_assert(InFilterEngine::kStageSampleEvery == 64);
+  sim::ExperimentConfig config = workload_config();
+  config.engine.use_hopcount = true;
+  const sim::TestbedStream stream = sim::generate_stream(config);
+  const auto clusters = sim::train_clusters(config);
+  const auto sampled = [](std::uint64_t observations) {
+    return (observations + 63) / 64;
+  };
+
+  for (const std::size_t batch_size : {std::size_t{1}, std::size_t{7},
+                                       std::size_t{256}}) {
+    SCOPED_TRACE(batch_size);
+    InFilterEngine engine(workload_engine_config(config));
+    sim::preload_eia(config, engine);
+    engine.set_clusters(clusters);
+    std::vector<core::FlowInput> inputs(batch_size);
+    std::vector<core::Verdict> verdicts(batch_size);
+    for (std::size_t begin = 0; begin < stream.flows.size();
+         begin += batch_size) {
+      const std::size_t n = std::min(batch_size, stream.flows.size() - begin);
+      for (std::size_t i = 0; i < n; ++i) {
+        const auto& flow = stream.flows[begin + i];
+        inputs[i] =
+            core::FlowInput{flow.record, flow.arrival_port, flow.record.last};
+      }
+      engine.process_batch(std::span<const core::FlowInput>(inputs.data(), n),
+                           std::span<core::Verdict>(verdicts.data(), n));
+    }
+    const auto& m = engine.metrics();
+    const std::uint64_t flows = m.flows_total->value();
+    ASSERT_EQ(flows, stream.flows.size());
+    // Enough scan observations that the 1-in-64 rate shows.
+    ASSERT_GT(m.scan_analyzed->value(), 2 * InFilterEngine::kStageSampleEvery);
+    EXPECT_EQ(m.stage_eia_us->count(), sampled(flows));
+    EXPECT_EQ(m.stage_hopcount_us->count(), sampled(flows));
+    EXPECT_EQ(m.stage_scan_us->count(), sampled(m.scan_analyzed->value()));
+    EXPECT_EQ(m.stage_nns_us->count(), m.nns_assessed->value());
+    EXPECT_EQ(m.process_us->count(), flows);
+  }
+}
+
 /// The sharded runtime now drives engines through process_batch; an odd
 /// max_batch exercises ragged dequeue batches. With scan analysis off the
 /// sharded pipeline is exactly serial-equivalent (runtime/runtime.h), so

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/export.h"
@@ -47,6 +48,27 @@ TEST(Histogram, BucketBoundsAreInclusiveUpperBounds) {
   EXPECT_EQ(snapshot.counts[3], 1u);  // overflow
   EXPECT_EQ(snapshot.count, 5u);
   EXPECT_DOUBLE_EQ(snapshot.sum, 0.5 + 1.0 + 1.5 + 4.0 + 9.0);
+}
+
+// observe_n is n observe() calls folded into one update per field: same
+// buckets, same count, and the same sum up to double rounding.
+TEST(Histogram, ObserveNMatchesRepeatedObserve) {
+  const std::vector<double> bounds = {1.0, 2.0, 4.0};
+  obs::Histogram batched(bounds);
+  obs::Histogram repeated(bounds);
+  const std::pair<double, std::uint64_t> samples[] = {
+      {0.37, 5}, {1.0, 1}, {3.3, 256}, {9.5, 7}, {2.0, 0}};
+  for (const auto& [value, n] : samples) {
+    batched.observe_n(value, n);
+    for (std::uint64_t i = 0; i < n; ++i) repeated.observe(value);
+  }
+  const auto a = batched.snapshot();
+  const auto b = repeated.snapshot();
+  EXPECT_EQ(a.counts, b.counts);
+  EXPECT_EQ(a.count, 5u + 1u + 256u + 7u);
+  EXPECT_EQ(a.count, b.count);
+  EXPECT_NEAR(a.sum, b.sum, 1e-9 * b.sum);
+  EXPECT_EQ(batched.count(), repeated.count());
 }
 
 TEST(Histogram, ExponentialBounds) {

@@ -598,6 +598,83 @@ TEST(ShardedRuntime, MultiProducerSweepReplaysIdenticalAlertStream) {
   }
 }
 
+/// A sink slow enough that the scan thread, not the workers, bounds the
+/// pipeline: suspects back up into the suspect rings and the reorder heap.
+class SleepingSink final : public alert::AlertSink {
+ public:
+  void consume(const alert::Alert& alert) override {
+    std::this_thread::sleep_for(std::chrono::microseconds(20));
+    collected_.consume(alert);
+  }
+  [[nodiscard]] const std::vector<alert::Alert>& alerts() const {
+    return collected_.alerts();
+  }
+
+ private:
+  alert::CollectingSink collected_;
+};
+
+// The scan stage's reorder heap is bounded: behind a slow sink, where the
+// scan thread is the bottleneck and the workers run ahead, it never holds
+// more than max_batch + shards x ring capacity suspects, and the bounded
+// release still yields the serial engine's verdicts and alert stream.
+// Every fourth flow comes from an unexpected, never-repeated source /24:
+// a suspect that raises an alert. The rest are legal.
+TEST(ShardedRuntime, ScanBacklogStaysBoundedBehindASlowSink) {
+  constexpr std::uint32_t kFlows = 16000;
+  const auto expected = *net::Prefix::parse("10.0.0.0/8");
+  core::EngineConfig engine;
+  engine.use_nns = false;  // no training needed; scan still runs
+  std::vector<FlowItem> items;
+  for (std::uint32_t i = 0; i < kFlows; ++i) {
+    netflow::V5Record record = simple_flow(i);
+    if (i % 4 == 0) record.src_ip = net::IPv4Address{record.src_ip.value() + (1u << 24)};
+    items.push_back(FlowItem{record, 9001, i, i});
+  }
+  alert::CollectingSink serial_sink;
+  core::InFilterEngine serial(engine, &serial_sink);
+  serial.add_expected(9001, expected);
+  std::vector<core::Verdict> reference;
+  for (const auto& item : items) {
+    reference.push_back(serial.process(item.record, item.ingress, item.now));
+  }
+  ASSERT_EQ(serial_sink.alerts().size(), kFlows / 4);
+
+  for (const int shards : {1, 2, 4}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    RuntimeConfig rc;
+    rc.shards = shards;
+    rc.queue_depth = 64;  // a power of two: the ring capacity
+    rc.max_batch = 32;
+    rc.engine = engine;
+    SleepingSink sink;
+    std::vector<core::Verdict> verdicts(kFlows);  // one writer per tag
+    ShardedRuntime rt(rc, &sink, [&](const FlowItem& item, const core::Verdict& v) {
+      verdicts[item.tag] = v;
+    });
+    rt.add_expected(9001, expected);
+    // Claims of 16 flows, like a receiver's datagrams: one oversized claim
+    // would hold every shard's watermark at its first unpushed flow.
+    for (std::size_t begin = 0; begin < kFlows; begin += 16) {
+      const std::span<const FlowItem> claim(items.data() + begin, 16);
+      ASSERT_EQ(rt.submit_batch(claim), claim.size());
+    }
+    rt.flush();
+
+    std::size_t mismatches = 0;
+    for (std::size_t k = 0; k < kFlows; ++k) {
+      mismatches += same_verdict(reference[k], verdicts[k]) ? 0 : 1;
+    }
+    EXPECT_EQ(mismatches, 0u);
+    expect_same_alerts(sink.alerts(), serial_sink.alerts());
+    const auto stats = rt.stats();
+    EXPECT_EQ(stats.suspects_completed, kFlows / 4);
+    EXPECT_GT(stats.scan_backlog_peak, 0u);
+    EXPECT_LE(stats.scan_backlog_peak,
+              rc.max_batch + static_cast<std::size_t>(shards) * rc.queue_depth);
+  }
+}
+
 // Liveness regression: a producer that submits once and returns -- no
 // idle announcement of any kind -- must never hold back a producer that
 // keeps submitting far more than its rings hold. The merge bounds the

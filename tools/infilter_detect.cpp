@@ -155,6 +155,21 @@ int main(int argc, char** argv) {
     }
     if (ingresses.empty()) return fail("capture is empty");
   }
+  // An --eia dump is read before the engines are built: its lifecycle
+  // directive, when it has one, sets their aging policy (core/eia_io.h).
+  std::optional<core::EiaTable> imported_eia;
+  const auto eia_path = args.value("eia");
+  if (eia_path.has_value()) {
+    std::ifstream in(*eia_path);
+    if (!in) return fail("cannot open " + *eia_path);
+    std::ostringstream text;
+    text << in.rdbuf();
+    auto imported = core::import_eia(text.str(), config.eia);
+    if (!imported) return fail(imported.error().message);
+    imported_eia.emplace(std::move(*imported));
+    config.eia.lifecycle = imported_eia->config().lifecycle;
+  }
+
   runtime::RuntimeConfig runtime_config;
   runtime_config.shards = threads;
   if (ingest_threads > 0) {
@@ -212,21 +227,12 @@ int main(int argc, char** argv) {
         if (verdict.attack) attacks.fetch_add(1, std::memory_order_relaxed);
       });
 
-  // EIA preloads: a text config if given, otherwise the Table 3 defaults.
-  if (const auto eia_path = args.value("eia")) {
-    std::ifstream in(*eia_path);
-    if (!in) return fail("cannot open " + *eia_path);
-    std::ostringstream text;
-    text << in.rdbuf();
-    const auto imported = core::import_eia(text.str());
-    if (!imported) return fail(imported.error().message);
-    for (const auto ingress : imported->ingresses()) {
-      for (const auto& prefix : imported->set_for(ingress)->to_cidrs()) {
-        rt.add_expected(ingress, prefix);
-      }
-    }
+  // EIA preloads: a text config if given -- with its learned entries'
+  // ages and pending counters -- otherwise the Table 3 defaults.
+  if (imported_eia.has_value()) {
+    rt.install_eia(*imported_eia);
     std::printf("loaded EIA sets for %zu ingress points from %s\n",
-                imported->ingress_count(), eia_path->c_str());
+                imported_eia->ingress_count(), eia_path->c_str());
   } else {
     for (int s = 0; s < 10; ++s) {
       for (const auto& block : dagflow::eia_range(s).expand()) {

@@ -144,6 +144,20 @@ int main(int argc, char** argv) {
     if (!cpus) return fail(error);
     config.affinity = *cpus;
   }
+  // An --eia dump is read before the node is built: its lifecycle
+  // directive, when it has one, sets the engines' aging policy
+  // (core/eia_io.h).
+  std::optional<core::EiaTable> imported_eia;
+  if (const auto eia_path = args.value("eia")) {
+    std::ifstream in(*eia_path);
+    if (!in) return fail("cannot open " + *eia_path);
+    std::ostringstream text;
+    text << in.rdbuf();
+    auto imported = core::import_eia(text.str(), config.engine.eia);
+    if (!imported) return fail(imported.error().message);
+    imported_eia.emplace(std::move(*imported));
+    config.engine.eia.lifecycle = imported_eia->config().lifecycle;
+  }
 
   // Flight recorder: always attached, so the liveness watchdog sees every
   // pipeline thread; span tracing (the part with a cost) only turns on when
@@ -164,26 +178,13 @@ int main(int argc, char** argv) {
   auto node = app::InFilterNode::create(config, &console);
   if (!node) return fail(node.error().message);
 
-  // EIA sets: file or Table 3 defaults.
-  const auto add_expected = [&](core::IngressId ingress, const net::Prefix& prefix) {
-    (*node)->add_expected(ingress, prefix);
-  };
-  if (const auto eia_path = args.value("eia")) {
-    std::ifstream in(*eia_path);
-    if (!in) return fail("cannot open " + *eia_path);
-    std::ostringstream text;
-    text << in.rdbuf();
-    const auto imported = core::import_eia(text.str());
-    if (!imported) return fail(imported.error().message);
-    for (const auto ingress : imported->ingresses()) {
-      for (const auto& prefix : imported->set_for(ingress)->to_cidrs()) {
-        add_expected(ingress, prefix);
-      }
-    }
+  // EIA sets: file (learned state included) or Table 3 defaults.
+  if (imported_eia.has_value()) {
+    (*node)->install_eia(*imported_eia);
   } else {
     for (int s = 0; s < 10; ++s) {
       for (const auto& block : dagflow::eia_range(s).expand()) {
-        add_expected(static_cast<core::IngressId>(9001 + s), block.prefix());
+        (*node)->add_expected(static_cast<core::IngressId>(9001 + s), block.prefix());
       }
     }
   }
