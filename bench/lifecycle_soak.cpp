@@ -92,6 +92,49 @@ std::uint64_t probe_aging_allocs() {
   return allocs;
 }
 
+/// Heap allocations of one warm pre_process_batch over 256 EIA-vouched
+/// flows with aging and hop-count both on: every flow runs the
+/// aging-aware is_expected and the hop-count classify-and-observe on a key
+/// the earlier passes learned (and established). Those passes also size
+/// the batch vectors; the last, counted pass must allocate nothing.
+std::uint64_t probe_hopcount_allocs() {
+  core::EngineConfig config;
+  config.eia.lifecycle.max_idle_ms = util::kHour;
+  config.use_hopcount = true;
+  core::InFilterEngine engine(config);
+  for (std::uint32_t s = 0; s < 4; ++s) {
+    engine.add_expected(static_cast<core::IngressId>(9001 + s),
+                        net::Prefix{net::IPv4Address{(10u + s) << 24}, 8});
+  }
+  std::vector<core::FlowInput> flows(256);
+  for (std::uint32_t i = 0; i < flows.size(); ++i) {
+    flows[i].record.src_ip = net::IPv4Address{((10u + i % 4) << 24) | (i << 8) | 7u};
+    flows[i].record.dst_ip = net::IPv4Address{(192u << 24) | 1u};
+    flows[i].record.ttl = 57;
+    flows[i].ingress = static_cast<core::IngressId>(9001 + i % 4);
+  }
+  std::vector<core::Verdict> verdicts(flows.size());
+  std::vector<core::SuspectFlow> suspects;
+  std::vector<std::uint32_t> positions;
+  std::uint64_t allocs = 0;
+  const int passes = config.hopcount.learn_threshold + 1;
+  for (int pass = 0; pass < passes; ++pass) {
+    for (auto& flow : flows) flow.now = 1000 * (pass + 1);
+    suspects.clear();
+    positions.clear();
+    const auto before = bench::heap_allocs();
+    engine.pre_process_batch(flows, verdicts, suspects, positions);
+    allocs = bench::heap_allocs() - before;
+  }
+  if (engine.hopcount_table().size() != flows.size() ||
+      engine.hopcount_table().stats().established_keys != flows.size()) {
+    std::fprintf(stderr, "lifecycle_soak: the hop-count probe learned %zu keys\n",
+                 engine.hopcount_table().size());
+    return ~std::uint64_t{0};
+  }
+  return allocs;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -145,6 +188,10 @@ int main(int argc, char** argv) {
   const std::uint64_t aging_allocs = probe_aging_allocs();
   std::printf("steady-state heap allocations, aging on, 256 EIA-miss flows: %llu\n",
               static_cast<unsigned long long>(aging_allocs));
+  const std::uint64_t hopcount_allocs = probe_hopcount_allocs();
+  std::printf(
+      "steady-state heap allocations, aging and hop-count on, 256 EIA-vouched flows: %llu\n",
+      static_cast<unsigned long long>(hopcount_allocs));
 
   // The regression gates: churn must be quality-neutral over the horizon.
   int failures = 0;
@@ -173,12 +220,16 @@ int main(int argc, char** argv) {
           "churn pushed >1% extra benign flows into the suspect path");
   require(INFILTER_BENCH_SANITIZED || aging_allocs == 0,
           "the warm EIA stage allocates with aging on");
+  require(INFILTER_BENCH_SANITIZED || hopcount_allocs == 0,
+          "the warm EIA + hop-count stages allocate with aging and hop-count on");
 
   std::string doc = "{\n  \"bench\": \"lifecycle\",\n";
   doc += "  \"seed\": " + std::to_string(soak.base.seed) + ",\n";
   doc += "  \"waves\": " + std::to_string(soak.waves) + ",\n";
   doc += "  \"wave_gap_ms\": " + std::to_string(soak.wave_gap_ms) + ",\n";
   doc += "  \"steady_state_heap_allocs\": " + std::to_string(aging_allocs) + ",\n";
+  doc += "  \"steady_state_heap_allocs_hopcount\": " + std::to_string(hopcount_allocs) +
+         ",\n";
   doc += "  \"runs\": [\n";
   for (const auto& wave : churned.waves) doc += wave_doc("churned", wave) + ",\n";
   for (const auto& wave : baseline.waves) doc += wave_doc("static", wave) + ",\n";

@@ -22,8 +22,9 @@
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "net/ipv4.h"
@@ -75,7 +76,9 @@ struct HopCountConfig {
   /// converge instead of alarming forever. 0 disables decay.
   util::DurationMs decay_ms = 10 * util::kMinute;
   /// Bound on the table; spoofed floods from diffuse sources must not
-  /// grow it without limit. When full, new keys are not tracked.
+  /// grow it without limit. When full, a new key first reclaims decayed
+  /// entries (at most one sweep per decay_ms / 8 of flow time) and is not
+  /// tracked if none has decayed.
   std::size_t max_entries = 1 << 20;
 };
 
@@ -83,10 +86,13 @@ struct HopCountConfig {
 struct HopCountStats {
   std::uint64_t classified = 0;        ///< classify() calls
   std::uint64_t established_keys = 0;  ///< keys that completed learning
-  std::uint64_t expired_entries = 0;   ///< entries reset after decay_ms idle
+  std::uint64_t expired_entries = 0;   ///< entries reset or reclaimed after decay_ms idle
+  std::uint64_t reclaim_sweeps = 0;    ///< full-table sweeps for decayed entries
 };
 
-/// Learned per-(ingress, source /24) expected hop-count ranges.
+/// Learned per-(ingress, source /24) expected hop-count ranges, in an
+/// open-addressed, linear-probing table of 16-byte slots (DESIGN.md
+/// "Hop-count detector"). An empty table allocates nothing.
 class HopCountTable {
  public:
   /// Serialization image of one learned range (hopcount_io).
@@ -102,6 +108,11 @@ class HopCountTable {
     Entry entry;
   };
 
+  /// The largest count a slot holds; learn_threshold may not exceed it,
+  /// and a restored count above it is stored as kMaxCount (every count at
+  /// or past the threshold behaves the same).
+  static constexpr int kMaxCount = 254;
+
   explicit HopCountTable(HopCountConfig config = {});
 
   /// Classifies `source`'s TTL at `ingress` against the learned range.
@@ -114,33 +125,94 @@ class HopCountTable {
   /// entry (or resets it once past its decay deadline), widens the range
   /// while the key is still learning, and otherwise only refreshes
   /// last_seen. Records without a TTL, and new keys when the table is
-  /// full, are ignored. Callers decide what "trusted" means -- the engine
-  /// only feeds flows the EIA sets vouch for and that did not themselves
-  /// classify as a miss, so a spoofer cannot poison the ranges it is being
-  /// checked against.
+  /// full and nothing has decayed, are ignored. Callers decide what
+  /// "trusted" means -- the engine only feeds flows the EIA sets vouch for
+  /// and that did not themselves classify as a miss, so a spoofer cannot
+  /// poison the ranges it is being checked against.
   void observe(IngressId ingress, net::IPv4Address source, std::uint8_t ttl,
                util::TimeMs now);
 
+  /// classify(), then -- when `trusted` and the flow is not a miss --
+  /// observe(), on one probe of the table.
+  TtlClass classify_and_observe(IngressId ingress, net::IPv4Address source,
+                                std::uint8_t ttl, util::TimeMs now, bool trusted);
+
+  /// Cache hint: starts loading the key's home slot, so a lookup a few
+  /// flows later finds it resident. No effect on the table's state.
+  void prefetch(IngressId ingress, net::IPv4Address source) const;
+
   /// Restores one entry verbatim (import path); replaces any existing
-  /// entry for the key. `slash24` is canonicalized to its /24.
+  /// entry for the key. `slash24` is canonicalized to its /24. Ignores
+  /// max_entries, like an import.
   void restore(IngressId ingress, net::IPv4Address source, const Entry& entry);
 
   /// Every entry, sorted by (ingress, /24) for deterministic export.
   [[nodiscard]] std::vector<ExportedEntry> entries() const;
 
-  [[nodiscard]] std::size_t size() const { return table_.size(); }
+  [[nodiscard]] std::size_t size() const { return slots_.size; }
+  /// Slots allocated: 0, or a power of two that keeps size() at most 3/4
+  /// of it.
+  [[nodiscard]] std::size_t capacity() const { return slots_.capacity; }
+  /// The longest run of slots any entry's lookup walks (1 = found at
+  /// home); O(capacity), for tests and diagnostics.
+  [[nodiscard]] std::size_t longest_probe() const;
   [[nodiscard]] const HopCountConfig& config() const { return config_; }
   [[nodiscard]] const HopCountStats& stats() const { return stats_; }
 
  private:
+  /// One entry. `word` packs, from the top: the 40-bit key (ingress << 24
+  /// | source /24 >> 8), min_hops, max_hops, and count + 1 in the low
+  /// byte, so an occupied slot is never 0 and 0 marks an empty slot.
+  struct Slot {
+    std::uint64_t word = 0;
+    util::TimeMs last_seen = 0;
+  };
+  /// Zero-filled (= all empty), mmap-backed slot storage: growth unmaps
+  /// the superseded array, so its pages go back to the OS instead of
+  /// staying resident in the allocator. A moved-from array is empty.
+  struct SlotArray {
+    Slot* data = nullptr;
+    std::size_t capacity = 0;  ///< 0 or a power of two
+    std::size_t size = 0;      ///< occupied slots
+    unsigned shift = 64;       ///< 64 - log2(capacity): index = top hash bits
+
+    SlotArray() = default;
+    explicit SlotArray(std::size_t slots);
+    SlotArray(const SlotArray& other);
+    SlotArray(SlotArray&& other) noexcept;
+    SlotArray& operator=(SlotArray other) noexcept;
+    ~SlotArray();
+  };
+
   static std::uint64_t key_of(IngressId ingress, net::IPv4Address source);
-  [[nodiscard]] bool stale(const Entry& entry, util::TimeMs now) const;
+  [[nodiscard]] std::size_t home_of(std::uint64_t key) const;
+  /// The key's slot, or the empty slot that ends its probe run.
+  [[nodiscard]] std::size_t find(std::uint64_t key) const;
+  [[nodiscard]] bool stale(util::TimeMs last_seen, util::TimeMs now) const;
+  [[nodiscard]] TtlClass classify_slot(const Slot& slot, int hops,
+                                       util::TimeMs now) const;
+  /// observe()'s fold at `index`, the result of find(key) (any value on an
+  /// unallocated table); inserts the key when its slot is empty, unless a
+  /// full table has no room.
+  void fold(std::size_t index, std::uint64_t key, int hops, util::TimeMs now);
+  /// Claims a slot for `key`, known absent; `index` is find(key). Grows
+  /// the array first when the insert would pass the load limit. Returns
+  /// the slot.
+  std::size_t insert(std::size_t index, std::uint64_t key);
+  void grow();
+  /// Empties slot `index` and shifts the rest of its probe run back
+  /// (backward-shift deletion: no tombstones).
+  void erase(std::size_t index);
+  /// Full-table reclaim: erases every entry decayed at `now`, at most once
+  /// per decay_ms / 8 of flow time. Returns whether room was made.
+  bool reclaim(util::TimeMs now);
 
   HopCountConfig config_;
   /// Mutable: classify() is logically const but counts its calls.
   mutable HopCountStats stats_;
-  /// (ingress << 32 | source /24) -> learned range.
-  std::unordered_map<std::uint64_t, Entry> table_;
+  SlotArray slots_;
+  /// Flow time before which reclaim() does not sweep again.
+  util::TimeMs next_sweep_at_ = 0;
 };
 
 /// The engine-facing analysis stage: classify every flow, learn only from

@@ -321,6 +321,29 @@ std::size_t ShardedRuntime::submit_batch(std::span<const FlowItem> items,
   }
   if (items.empty()) return 0;
   ProducerSlot& slot = *producers_[static_cast<std::size_t>(producer)];
+  if (slot.lane != nullptr) slot.lane->heartbeat(items.size());
+  const bool tracing = slot.lane != nullptr && tracer_->enabled();
+  const std::uint64_t t_sub = tracing ? obs::Tracer::now_ns() : 0;
+  // Claim, push and publish at most one ring's worth at a time: an
+  // unpublished claim holds every shard's watermark below its first
+  // unpushed flow, so a larger one would make the scan stage's reorder
+  // heap absorb everything the other shards finish meanwhile, past its
+  // max_batch + shards x ring capacity bound.
+  const std::size_t claim_max = shards_.front()->rings.front()->capacity();
+  std::size_t accepted = 0;
+  for (std::size_t begin = 0; begin < items.size(); begin += claim_max) {
+    accepted += submit_claim(
+        slot, producer,
+        items.subspan(begin, std::min(claim_max, items.size() - begin)),
+        tracing, t_sub);
+  }
+  slot.accepted.fetch_add(accepted, std::memory_order_relaxed);
+  return accepted;
+}
+
+std::size_t ShardedRuntime::submit_claim(ProducerSlot& slot, int producer,
+                                         std::span<const FlowItem> items,
+                                         bool tracing, std::uint64_t t_sub) {
   // Bucket per shard, then push each bucket with one batched ring
   // operation. The buckets are producer-slot scratch (one owning thread at
   // a time, per the contract), and clear() keeps each bucket's capacity,
@@ -331,10 +354,6 @@ std::size_t ShardedRuntime::submit_batch(std::span<const FlowItem> items,
   auto& buckets = slot.buckets;
   buckets.resize(shards_.size());
   for (auto& bucket : buckets) bucket.clear();
-  const bool tracing = slot.lane != nullptr && tracer_->enabled();
-  std::uint64_t t_sub = 0;
-  if (slot.lane != nullptr) slot.lane->heartbeat(items.size());
-  if (tracing) t_sub = obs::Tracer::now_ns();
   // Raise the flag before claiming (the merge reads the counter, then this
   // flag: runtime.h), and publish the claim base right after: every tag
   // this slot pushes from here on lies above it, so the in-flight claim
@@ -384,7 +403,6 @@ std::size_t ShardedRuntime::submit_batch(std::span<const FlowItem> items,
   slot.published.store(last, std::memory_order_release);
   // Release: a merge that reads the flag down also sees every push above.
   slot.in_flight.store(false, std::memory_order_release);
-  slot.accepted.fetch_add(accepted, std::memory_order_relaxed);
   return accepted;
 }
 

@@ -258,11 +258,14 @@ class ShardedRuntime {
 
   /// Enqueues a batch -- the only way flows enter the runtime -- through
   /// one producer slot, amortizing the tag claim and the per-ring
-  /// synchronization: one fetch_add claims the whole tag range, items are
-  /// bucketed per shard, and each bucket is pushed with one batched ring
-  /// operation. Returns how many flows were accepted: all under kBlock;
-  /// under kDrop, the items whose ring had room (a shard's accepted items
-  /// are a prefix of its bucket); none after shutdown(). Only accepted
+  /// synchronization: one fetch_add claims the tag range of up to one ring
+  /// capacity of items (a larger call is claimed, pushed and published in
+  /// such chunks, which keeps the scan stage's reorder backlog bounded),
+  /// items are bucketed per shard, and each bucket is pushed with one
+  /// batched ring operation. Returns how many flows were accepted: all
+  /// under kBlock; under kDrop, the items whose ring had room (within a
+  /// claim, a shard's accepted items are a prefix of its bucket); none
+  /// after shutdown(). Only accepted
   /// flows reach the VerdictHook. A single-flow call is a batch of one.
   /// `producer` must be < producer_count() and driven by one thread at a
   /// time.
@@ -431,6 +434,11 @@ class ShardedRuntime {
   const FlowItem* peek_bounded(Shard& shard, std::size_t p, std::uint64_t& bound);
   std::size_t push_batch_with_backpressure(Shard& shard, SpscRing<FlowItem>& ring,
                                            std::span<const FlowItem> items);
+  /// One claim of submit_batch: at most one ring capacity of `items`,
+  /// claimed, bucketed, pushed and published. Returns the flows accepted.
+  std::size_t submit_claim(ProducerSlot& slot, int producer,
+                           std::span<const FlowItem> items, bool tracing,
+                           std::uint64_t t_sub);
   void note_occupancy(Shard& shard);
   void flush_locked();
   /// Stops and joins the workers and the scan thread. Caller

@@ -8,13 +8,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/eia_io.h"
 #include "core/engine.h"
 #include "hopcount/hopcount_io.h"
 #include "hopcount/path_model.h"
+#include "runtime/runtime.h"
+#include "util/rng.h"
 
 namespace infilter::hopcount {
 namespace {
@@ -135,16 +141,286 @@ TEST(HopCountTable, EstablishedRangeOnlyRefreshes) {
   EXPECT_EQ(table.stats().expired_entries, 0u);
 }
 
-TEST(HopCountTable, FullTableIgnoresNewKeysButServesOldOnes) {
+TEST(HopCountTable, FullTableLearnsNewKeysOnceOldOnesDecay) {
   HopCountConfig config;
   config.learn_threshold = 1;
-  config.max_entries = 1;
+  config.decay_ms = 1000;
+  config.max_entries = 64;
   HopCountTable table(config);
-  table.observe(9001, ip("10.1.2.3"), 57, 0);
-  table.observe(9001, ip("10.9.9.9"), 57, 0);
-  EXPECT_EQ(table.size(), 1u);
-  EXPECT_EQ(table.classify(9001, ip("10.9.9.9"), 57, 0), TtlClass::kUnknown);
-  EXPECT_EQ(table.classify(9001, ip("10.1.2.3"), 57, 0), TtlClass::kConsistent);
+  const auto old_key = [](std::uint32_t i) { return net::IPv4Address{(10u << 24) | (i << 8)}; };
+  for (std::uint32_t i = 0; i < 64; ++i) table.observe(9001, old_key(i), 57, 0);
+  // Half the old keys stay live; the other half idle past decay_ms.
+  for (std::uint32_t i = 0; i < 32; ++i) table.observe(9001, old_key(i), 57, 900);
+  ASSERT_EQ(table.size(), 64u);
+
+  // The first new key on the full table sweeps out the decayed half...
+  table.observe(9001, ip("10.200.0.1"), 57, 1001);
+  EXPECT_EQ(table.stats().reclaim_sweeps, 1u);
+  EXPECT_EQ(table.stats().expired_entries, 32u);
+  EXPECT_EQ(table.size(), 33u);
+  EXPECT_EQ(table.classify(9001, ip("10.200.0.1"), 57, 1001), TtlClass::kConsistent);
+  // ...and the room it made takes further new keys without another sweep.
+  for (std::uint32_t i = 1; i < 32; ++i) {
+    table.observe(9002, old_key(i), 57, 1002);
+    EXPECT_EQ(table.classify(9002, old_key(i), 57, 1002), TtlClass::kConsistent);
+  }
+  EXPECT_EQ(table.size(), 64u);
+  EXPECT_EQ(table.stats().reclaim_sweeps, 1u);
+  // The live half kept its ranges through the sweep.
+  for (std::uint32_t i = 0; i < 32; ++i) {
+    EXPECT_EQ(table.classify(9001, old_key(i), 44, 1002), TtlClass::kMiss);
+  }
+}
+
+TEST(HopCountTable, FullTableOfLiveEntriesServesThemAndBoundsItsSweeps) {
+  HopCountConfig config;
+  config.learn_threshold = 1;
+  config.decay_ms = 8000;
+  config.max_entries = 64;
+  HopCountTable table(config);
+  for (std::uint32_t i = 0; i < 64; ++i) {
+    table.observe(9001, net::IPv4Address{(10u << 24) | (i << 8)}, 57, 0);
+  }
+  // A flood of fresh keys over 4 s of flow time, none of the old entries
+  // decayed: at most one sweep per decay_ms / 8 = 1 s, whatever the flood.
+  constexpr std::uint32_t kFlood = 20000;
+  for (std::uint32_t i = 0; i < kFlood; ++i) {
+    table.observe(9001, net::IPv4Address{(20u << 24) | (i << 8)}, 57, i / 5);
+  }
+  EXPECT_EQ(table.size(), 64u);
+  EXPECT_EQ(table.stats().expired_entries, 0u);
+  EXPECT_GE(table.stats().reclaim_sweeps, 1u);
+  EXPECT_LE(table.stats().reclaim_sweeps, (kFlood / 5) / (config.decay_ms / 8) + 1);
+  EXPECT_EQ(table.classify(9001, ip("20.0.1.1"), 57, 4000), TtlClass::kUnknown);
+  for (std::uint32_t i = 0; i < 64; ++i) {
+    EXPECT_EQ(table.classify(9001, net::IPv4Address{(10u << 24) | (i << 8) | 9u}, 57, 4000),
+              TtlClass::kConsistent);
+  }
+  // Without decay nothing can be reclaimed, so no sweep ever runs.
+  config.decay_ms = 0;
+  HopCountTable forever(config);
+  for (std::uint32_t i = 0; i < 64 + 100; ++i) {
+    forever.observe(9001, net::IPv4Address{(10u << 24) | (i << 8)}, 57, i);
+  }
+  EXPECT_EQ(forever.size(), 64u);
+  EXPECT_EQ(forever.stats().reclaim_sweeps, 0u);
+}
+
+// A std::map model of the table's documented behaviour: the flat table
+// must agree with it on every classification, and on size(), stats() and
+// entries(), through growth, decay, restore and full-table reclaim.
+class ReferenceTable {
+ public:
+  explicit ReferenceTable(HopCountConfig config) : config_(config) {}
+
+  TtlClass classify(IngressId ingress, net::IPv4Address source, std::uint8_t ttl,
+                    util::TimeMs now) {
+    ++stats_.classified;
+    const int hops = hops_from_ttl(ttl);
+    if (hops < 0) return TtlClass::kUnknown;
+    const auto it = entries_.find(key(ingress, source));
+    if (it == entries_.end() || it->second.count < config_.learn_threshold ||
+        stale(it->second, now)) {
+      return TtlClass::kUnknown;
+    }
+    return hops >= it->second.min_hops - config_.tolerance &&
+                   hops <= it->second.max_hops + config_.tolerance
+               ? TtlClass::kConsistent
+               : TtlClass::kMiss;
+  }
+
+  void observe(IngressId ingress, net::IPv4Address source, std::uint8_t ttl,
+               util::TimeMs now) {
+    const int hops = hops_from_ttl(ttl);
+    if (hops < 0) return;
+    auto it = entries_.find(key(ingress, source));
+    if (it == entries_.end()) {
+      if (entries_.size() >= config_.max_entries && !reclaim(now)) return;
+      it = entries_.emplace(key(ingress, source), HopCountTable::Entry{}).first;
+    } else if (stale(it->second, now)) {
+      it->second = HopCountTable::Entry{};
+      ++stats_.expired_entries;
+    }
+    auto& entry = it->second;
+    entry.last_seen = now;
+    if (entry.count >= config_.learn_threshold) return;
+    const auto hops8 = static_cast<std::uint8_t>(hops);
+    entry.min_hops = entry.count == 0 ? hops8 : std::min(entry.min_hops, hops8);
+    entry.max_hops = entry.count == 0 ? hops8 : std::max(entry.max_hops, hops8);
+    if (++entry.count == config_.learn_threshold) ++stats_.established_keys;
+  }
+
+  TtlClass analyze(IngressId ingress, net::IPv4Address source, std::uint8_t ttl,
+                   util::TimeMs now, bool trusted) {
+    const TtlClass result = classify(ingress, source, ttl, now);
+    if (trusted && result != TtlClass::kMiss) observe(ingress, source, ttl, now);
+    return result;
+  }
+
+  void restore(IngressId ingress, net::IPv4Address source, HopCountTable::Entry entry) {
+    entry.count = std::clamp(entry.count, 0, HopCountTable::kMaxCount);
+    entries_[key(ingress, source)] = entry;
+  }
+
+  [[nodiscard]] std::size_t size() const { return entries_.size(); }
+  [[nodiscard]] const HopCountStats& stats() const { return stats_; }
+
+  void expect_same(const HopCountTable& table) const {
+    ASSERT_EQ(table.size(), entries_.size());
+    EXPECT_EQ(table.stats().classified, stats_.classified);
+    EXPECT_EQ(table.stats().established_keys, stats_.established_keys);
+    EXPECT_EQ(table.stats().expired_entries, stats_.expired_entries);
+    EXPECT_EQ(table.stats().reclaim_sweeps, stats_.reclaim_sweeps);
+    const auto exported = table.entries();
+    ASSERT_EQ(exported.size(), entries_.size());
+    auto it = entries_.begin();
+    for (const auto& e : exported) {
+      EXPECT_EQ(e.ingress, it->first.first);
+      EXPECT_EQ(e.slash24.address().value(), it->first.second);
+      EXPECT_EQ(e.slash24.length(), 24);
+      EXPECT_EQ(e.entry.min_hops, it->second.min_hops);
+      EXPECT_EQ(e.entry.max_hops, it->second.max_hops);
+      EXPECT_EQ(e.entry.count, it->second.count);
+      EXPECT_EQ(e.entry.last_seen, it->second.last_seen);
+      ++it;
+    }
+  }
+
+ private:
+  static std::pair<IngressId, std::uint32_t> key(IngressId ingress,
+                                                 net::IPv4Address source) {
+    return {ingress, source.value() & 0xFFFFFF00u};
+  }
+  bool stale(const HopCountTable::Entry& entry, util::TimeMs now) const {
+    return config_.decay_ms != 0 && now > entry.last_seen &&
+           now - entry.last_seen > config_.decay_ms;
+  }
+  bool reclaim(util::TimeMs now) {
+    if (config_.decay_ms == 0 || now < next_sweep_at_) return false;
+    next_sweep_at_ = now + std::max<util::DurationMs>(config_.decay_ms / 8, 1);
+    ++stats_.reclaim_sweeps;
+    std::erase_if(entries_, [&](const auto& kv) {
+      const bool gone = stale(kv.second, now);
+      stats_.expired_entries += gone ? 1 : 0;
+      return gone;
+    });
+    return entries_.size() < config_.max_entries;
+  }
+
+  HopCountConfig config_;
+  HopCountStats stats_;
+  std::map<std::pair<IngressId, std::uint32_t>, HopCountTable::Entry> entries_;
+  util::TimeMs next_sweep_at_ = 0;
+};
+
+TEST(HopCountTable, MatchesReferenceModelThroughGrowthDecayAndReclaim) {
+  struct Case {
+    int learn_threshold;
+    util::DurationMs decay_ms;
+    std::size_t max_entries;
+  };
+  const Case cases[] = {{3, 1000, 600}, {1, 1000, 40}, {2, 0, 300}, {5, 7, 2000}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE("learn_threshold=" + std::to_string(c.learn_threshold) +
+                 " decay_ms=" + std::to_string(c.decay_ms) +
+                 " max_entries=" + std::to_string(c.max_entries));
+    HopCountConfig config;
+    config.learn_threshold = c.learn_threshold;
+    config.decay_ms = c.decay_ms;
+    config.max_entries = c.max_entries;
+    HopCountTable table(config);
+    ReferenceTable model(config);
+    util::Rng rng(c.max_entries);
+
+    // Keys: a pool twice the bound, plus the extreme keys that an
+    // empty-slot sentinel could alias -- ingress 0 with 0.0.0.0/24 and
+    // ingress 0xFFFF with 255.255.255.0/24.
+    std::vector<std::pair<IngressId, net::IPv4Address>> keys = {
+        {0, net::IPv4Address{0}},
+        {0xFFFF, net::IPv4Address{0xFFFFFFFFu}},
+        {0, net::IPv4Address{0xFFFFFF00u}},
+        {0xFFFF, net::IPv4Address{0x000000FFu}}};
+    while (keys.size() < 2 * c.max_entries) {
+      keys.emplace_back(static_cast<IngressId>(9001 + rng.below(4)),
+                        net::IPv4Address{static_cast<std::uint32_t>(rng())});
+    }
+    const std::uint8_t ttls[] = {0, 64, 57, 55, 53, 120, 200, 250, 1, 33};
+    util::TimeMs now = 1;
+    std::size_t capacities_seen = 0;
+    std::size_t last_capacity = 0;
+    for (int op = 0; op < 40000; ++op) {
+      // Flow time mostly creeps forward, sometimes leaps past decay_ms,
+      // sometimes steps back (reordered batches).
+      const auto step = rng.below(100);
+      if (step < 2) now += 1500;
+      else if (step < 4) now -= std::min<util::TimeMs>(now, 5);
+      else if (step < 40) now += 1;
+      const auto& [ingress, source] = keys[rng.below(keys.size())];
+      const std::uint8_t ttl = ttls[rng.below(std::size(ttls))];
+      switch (rng.below(10)) {
+        case 0:
+          ASSERT_EQ(table.classify(ingress, source, ttl, now),
+                    model.classify(ingress, source, ttl, now));
+          break;
+        case 1:
+          table.observe(ingress, source, ttl, now);
+          model.observe(ingress, source, ttl, now);
+          break;
+        case 2: {
+          if (rng.below(20) != 0) break;  // rare: restores ignore the bound
+          const auto min_hops = static_cast<std::uint8_t>(rng.below(256));
+          const HopCountTable::Entry entry{
+              min_hops, static_cast<std::uint8_t>(rng.range(min_hops, 255)),
+              static_cast<int>(rng.below(301)), now - std::min<util::TimeMs>(now, 3)};
+          table.restore(ingress, source, entry);
+          model.restore(ingress, source, entry);
+          break;
+        }
+        case 3:
+          if (rng.below(200) == 0) table = HopCountTable(table);  // copies keep state
+          break;
+        default: {
+          const bool trusted = rng.below(10) != 0;
+          ASSERT_EQ(table.classify_and_observe(ingress, source, ttl, now, trusted),
+                    model.analyze(ingress, source, ttl, now, trusted))
+              << "op " << op;
+        }
+      }
+      if (table.capacity() != last_capacity) {
+        last_capacity = table.capacity();
+        ++capacities_seen;
+      }
+      if (op % 2000 == 0) {
+        ASSERT_NO_FATAL_FAILURE(model.expect_same(table)) << "op " << op;
+      }
+    }
+    ASSERT_NO_FATAL_FAILURE(model.expect_same(table));
+    EXPECT_GE(capacities_seen, 3u);  // grew through several doublings
+    if (c.decay_ms != 0) {
+      EXPECT_GT(model.stats().reclaim_sweeps, 0u);
+    }
+  }
+}
+
+// The slot hash mixes in the ingress and is independent of the runtime's
+// shard hash: a shard's table, which only ever sees that shard's keys,
+// still spreads them over all of its slots.
+TEST(HopCountTable, OneShardsKeysKeepProbesShort) {
+  HopCountConfig config;
+  config.learn_threshold = 1;
+  HopCountTable shard0(config);
+  for (std::uint32_t block = 0; shard0.size() < 90000; ++block) {
+    const net::IPv4Address source{(block << 8) | 1u};
+    if (runtime::ShardedRuntime::shard_of(source, 4) == 0) {
+      shard0.observe(9001, source, 57, 0);
+    }
+  }
+  // 90000 keys at load 0.69 of 2^17 slots. Random keys reach probe runs
+  // of 64-83 at this load; a hash correlated with the shard would crowd
+  // every key onto a quarter of the home slots, and runs would reach
+  // thousands.
+  EXPECT_EQ(shard0.capacity(), std::size_t{1} << 17);
+  EXPECT_LE(shard0.longest_probe(), 128u);
 }
 
 // -- HopCountAnalysis learning policy --
@@ -266,6 +542,28 @@ TEST(HopCountIo, RoundTripsEveryField) {
   EXPECT_EQ(export_hopcount(*legacy), export_hopcount(*current));
   EXPECT_NE(export_hopcount(*legacy).find("10.1.2.0/24 3 5 12 0 100\n"),
             std::string::npos);
+
+  // Dump -> import -> dump is byte-identical at every table capacity: the
+  // slot order never leaks into the format.
+  std::vector<std::size_t> capacities;
+  for (const std::uint32_t keys : {3u, 200u, 5000u}) {
+    HopCountTable sized(config);
+    for (std::uint32_t i = 0; i < keys; ++i) {
+      const net::IPv4Address source{((i * 40503u) << 8) | 7u};
+      for (std::uint32_t k = 0; k <= i % 3; ++k) {
+        sized.observe(static_cast<IngressId>(9001 + i % 3), source,
+                      static_cast<std::uint8_t>(40 + (i + k) % 20), 100 + i + k);
+      }
+    }
+    capacities.push_back(sized.capacity());
+    const auto dump = export_hopcount(sized);
+    const auto back = import_hopcount(dump, config);
+    ASSERT_TRUE(back) << back.error().message;
+    EXPECT_EQ(back->size(), keys);
+    EXPECT_EQ(export_hopcount(*back), dump) << keys << " keys";
+  }
+  EXPECT_LT(capacities[0], capacities[1]);
+  EXPECT_LT(capacities[1], capacities[2]);
 }
 
 TEST(HopCountIo, RejectsMissingOrWrongMagic) {
