@@ -11,12 +11,14 @@
 // aging must actually fire (entries expired > 0), and every scheduled
 // resize must have completed with state migrated.
 //
-// A steady-state allocation probe rides along: with aging on, a warm
-// pre_process_batch over EIA-miss flows must not touch the heap.
+// Steady-state allocation probes ride along: with aging on, a warm
+// pre_process_batch over EIA-miss flows must not touch the heap, and
+// neither may a warm finish_suspect_batch that emits fused and NNS alerts.
 //
 // Usage:
 //   lifecycle_soak [--smoke] [--seed N] [--out BENCH_lifecycle.json]
 
+#include <array>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -26,6 +28,7 @@
 #include "obs/export.h"
 #include "sim/soak.h"
 #include "util/args.h"
+#include "util/rng.h"
 
 #include "heap_counter.h"
 
@@ -135,6 +138,78 @@ std::uint64_t probe_hopcount_allocs() {
   return allocs;
 }
 
+/// Counts alerts per stage and keeps nothing that allocates: the sink
+/// the alert-emission probe delivers into.
+class CountingSink final : public alert::AlertSink {
+ public:
+  void consume(const alert::Alert& alert) override {
+    ++per_stage[static_cast<std::size_t>(alert.stage)];
+  }
+  std::array<std::uint64_t, alert::kStageCount> per_stage{};
+};
+
+/// Heap allocations of one warm finish_suspect_batch that emits an alert
+/// for every suspect, scan off: half take the fused path, half reach NNS
+/// as UDP flows, which the TCP-only training leaves anomalous. Building
+/// an alert is part of the emitting stage, so it must not allocate; the
+/// earlier pass sizes the NNS scratch.
+std::uint64_t probe_alert_allocs() {
+  util::Rng rng{7};
+  const auto random_record = [&](std::uint8_t proto) {
+    netflow::V5Record record;
+    record.src_ip = net::IPv4Address{(20u << 24) | static_cast<std::uint32_t>(rng.below(1 << 24))};
+    record.dst_ip = net::IPv4Address{(192u << 24) | static_cast<std::uint32_t>(rng.below(256))};
+    record.src_port = static_cast<std::uint16_t>(1024 + rng.below(60000));
+    record.dst_port = proto == 6 ? 80 : 1434;
+    record.proto = proto;
+    record.packets = static_cast<std::uint32_t>(1 + rng.below(20));
+    record.bytes = record.packets * static_cast<std::uint32_t>(40 + rng.below(1400));
+    record.last = static_cast<std::uint32_t>(rng.below(5000));
+    return record;
+  };
+  std::vector<netflow::V5Record> training(300);
+  for (auto& record : training) record = random_record(6);
+
+  core::EngineConfig config;
+  config.use_scan_analysis = false;
+  config.cluster.bits_per_feature = 48;
+  CountingSink sink;
+  core::InFilterEngine engine(config, &sink);
+  engine.train(training);
+
+  std::vector<core::SuspectFlow> suspects(256);
+  for (std::size_t i = 0; i < suspects.size(); ++i) {
+    auto& suspect = suspects[i];
+    suspect.record = random_record(17);
+    suspect.ingress = static_cast<core::IngressId>(9001 + i % 4);
+    suspect.now = 1000;
+    suspect.expected = static_cast<core::IngressId>(9005);
+    suspect.ttl = i % 2 == 0 ? hopcount::TtlClass::kMiss : hopcount::TtlClass::kUnknown;
+  }
+  std::vector<core::Verdict> verdicts(suspects.size());
+  std::uint64_t allocs = 0;
+  for (int pass = 0; pass < 2; ++pass) {
+    sink.per_stage = {};
+    const auto before = bench::heap_allocs();
+    engine.finish_suspect_batch(suspects, verdicts);
+    allocs = bench::heap_allocs() - before;
+  }
+  const auto stage_alerts = [&](alert::DetectionStage stage) {
+    return sink.per_stage[static_cast<std::size_t>(stage)];
+  };
+  if (stage_alerts(alert::DetectionStage::kHopCountFusion) != suspects.size() / 2 ||
+      stage_alerts(alert::DetectionStage::kNnsDistance) != suspects.size() / 2) {
+    std::fprintf(stderr,
+                 "lifecycle_soak: the alert probe emitted %llu fused and %llu NNS alerts\n",
+                 static_cast<unsigned long long>(
+                     stage_alerts(alert::DetectionStage::kHopCountFusion)),
+                 static_cast<unsigned long long>(
+                     stage_alerts(alert::DetectionStage::kNnsDistance)));
+    return ~std::uint64_t{0};
+  }
+  return allocs;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -193,6 +268,11 @@ int main(int argc, char** argv) {
       "steady-state heap allocations, aging and hop-count on, 256 EIA-vouched flows: %llu\n",
       static_cast<unsigned long long>(hopcount_allocs));
 
+  const std::uint64_t alert_allocs = probe_alert_allocs();
+  std::printf(
+      "steady-state heap allocations, 256 suspects alerted (fused and NNS, scan off): %llu\n",
+      static_cast<unsigned long long>(alert_allocs));
+
   // The regression gates: churn must be quality-neutral over the horizon.
   int failures = 0;
   const auto require = [&](bool ok, const char* what) {
@@ -222,6 +302,8 @@ int main(int argc, char** argv) {
           "the warm EIA stage allocates with aging on");
   require(INFILTER_BENCH_SANITIZED || hopcount_allocs == 0,
           "the warm EIA + hop-count stages allocate with aging and hop-count on");
+  require(INFILTER_BENCH_SANITIZED || alert_allocs == 0,
+          "the warm suspect stage allocates while emitting alerts");
 
   std::string doc = "{\n  \"bench\": \"lifecycle\",\n";
   doc += "  \"seed\": " + std::to_string(soak.base.seed) + ",\n";
@@ -230,6 +312,7 @@ int main(int argc, char** argv) {
   doc += "  \"steady_state_heap_allocs\": " + std::to_string(aging_allocs) + ",\n";
   doc += "  \"steady_state_heap_allocs_hopcount\": " + std::to_string(hopcount_allocs) +
          ",\n";
+  doc += "  \"steady_state_heap_allocs_alerts\": " + std::to_string(alert_allocs) + ",\n";
   doc += "  \"runs\": [\n";
   for (const auto& wave : churned.waves) doc += wave_doc("churned", wave) + ",\n";
   for (const auto& wave : baseline.waves) doc += wave_doc("static", wave) + ",\n";

@@ -6,11 +6,19 @@
 // larger system can feed into trace-back and response. We implement the
 // alert value type, an XML serializer producing IDMEF-draft-shaped
 // documents, and a small consumer interface.
+//
+// An Alert is a fixed-size, trivially copyable record: emitting one on the
+// detection path allocates nothing, and everything textual (the
+// classification, the XML) is derived from it where it is rendered, at the
+// sink. The serializer appends to one reserved string with std::to_chars.
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "net/ipv4.h"
@@ -28,6 +36,10 @@ enum class DetectionStage : std::uint8_t {
   /// length. High-confidence spoof; scan/NNS confirmation is skipped.
   kHopCountFusion,
 };
+
+/// Number of DetectionStage enumerators; they are 0 .. kStageCount - 1.
+inline constexpr std::size_t kStageCount =
+    static_cast<std::size_t>(DetectionStage::kHopCountFusion) + 1;
 
 [[nodiscard]] std::string_view stage_name(DetectionStage stage);
 
@@ -49,11 +61,16 @@ struct Alert {
   int nns_threshold = 0;
   /// Flow-observation-to-alert latency in (virtual) milliseconds.
   double detection_latency_ms = 0;
-  std::string classification;
+
+  /// The IDMEF Classification text, "spoofed traffic (<stage name>)": a
+  /// function of `stage`, so it is derived rather than stored.
+  [[nodiscard]] std::string_view classification() const;
 
   /// Serializes to an IDMEF-draft-shaped XML document.
   [[nodiscard]] std::string to_idmef_xml() const;
 };
+static_assert(std::is_trivially_copyable_v<Alert>,
+              "alerts are fixed-size records; render text at the sink");
 
 /// Consumer interface ("These could easily be used in a larger system").
 ///

@@ -67,9 +67,10 @@ bool parse_number(std::string_view text, T& out) {
 }
 
 std::optional<DetectionStage> stage_by_name(std::string_view name) {
-  if (name == "eia-mismatch") return DetectionStage::kEiaMismatch;
-  if (name == "scan-analysis") return DetectionStage::kScanAnalysis;
-  if (name == "nns-distance") return DetectionStage::kNnsDistance;
+  for (std::size_t i = 0; i < kStageCount; ++i) {
+    const auto stage = static_cast<DetectionStage>(i);
+    if (stage_name(stage) == name) return stage;
+  }
   return std::nullopt;
 }
 
@@ -122,9 +123,6 @@ util::Result<Alert> parse_idmef(std::string_view xml) {
     }
   }
 
-  if (const auto text = attribute(*body, "Classification", "text"); text.has_value()) {
-    alert.classification = std::string(*text);
-  }
   const auto stage_text = additional_data(*body, "detection-stage");
   if (!stage_text.has_value()) return util::Error{"missing detection-stage"};
   const auto stage = stage_by_name(*stage_text);
@@ -132,6 +130,13 @@ util::Result<Alert> parse_idmef(std::string_view xml) {
     return util::Error{"unknown detection stage '" + std::string(*stage_text) + "'"};
   }
   alert.stage = *stage;
+  // The classification is a function of the stage: check it, store nothing.
+  if (const auto text = attribute(*body, "Classification", "text");
+      text.has_value() && *text != alert.classification()) {
+    return util::Error{"classification '" + std::string(*text) +
+                       "' does not match detection stage '" +
+                       std::string(*stage_text) + "'"};
+  }
 
   if (const auto ingress = additional_data(*body, "ingress-port"); ingress.has_value()) {
     if (!parse_number(*ingress, alert.ingress_port)) {

@@ -31,8 +31,9 @@
 namespace infilter::alert {
 
 /// Parses one IDMEF-Message document back into an Alert. Fails on missing
-/// mandatory elements (Alert id, CreateTime, Source/Target addresses) or
-/// malformed values.
+/// mandatory elements (Alert id, CreateTime, Source/Target addresses,
+/// detection stage), malformed values, or a Classification text other
+/// than the one the stage implies (Alert::classification()).
 [[nodiscard]] util::Result<Alert> parse_idmef(std::string_view xml);
 
 /// Splits a feed of concatenated IDMEF-Message documents and parses each.

@@ -7,17 +7,6 @@
 #include "util/rng.h"
 
 namespace infilter::core {
-namespace {
-
-/// The (ingress, set) entry for `ingress` in a sorted set vector, or the
-/// position where it would be inserted.
-template <typename Sets>
-auto find_set(Sets& sets, IngressId ingress) {
-  return std::lower_bound(sets.begin(), sets.end(), ingress,
-                          [](const auto& entry, IngressId id) { return entry.first < id; });
-}
-
-}  // namespace
 
 void EiaSet::add(const net::Prefix& prefix) {
   Range incoming{prefix.first().value(), prefix.last().value()};
@@ -43,6 +32,13 @@ void EiaSet::add(const net::Prefix& prefix) {
 
 bool EiaSet::contains(net::IPv4Address address) const {
   const std::uint32_t value = address.value();
+  if (ranges_.size() <= kScanRanges) {
+    // value in [first, last] as one unsigned compare: below first wraps
+    // past last - first.
+    bool hit = false;
+    for (const Range& r : ranges_) hit |= value - r.first <= r.last - r.first;
+    return hit;
+  }
   auto it = std::upper_bound(ranges_.begin(), ranges_.end(), value,
                              [](std::uint32_t v, const Range& r) { return v < r.first; });
   if (it == ranges_.begin()) return false;
@@ -120,14 +116,23 @@ EiaTable::EiaTable(EiaTableConfig config)
 }
 
 EiaSet& EiaTable::set_ref(IngressId ingress) {
-  auto it = find_set(sets_, ingress);
-  if (it == sets_.end() || it->first != ingress) it = sets_.insert(it, {ingress, EiaSet{}});
-  return it->second;
+  if (sets_.empty()) {
+    base_ = ingress;
+  } else if (ingress < base_) {
+    sets_.insert(sets_.begin(), base_ - ingress, EiaSet{});
+    base_ = ingress;
+  }
+  const std::size_t at = index_of(ingress);
+  if (at >= sets_.size()) sets_.resize(at + 1);
+  const auto id = std::lower_bound(ids_.begin(), ids_.end(), ingress);
+  if (id == ids_.end() || *id != ingress) ids_.insert(id, ingress);
+  return sets_[at];
 }
 
 const EiaSet* EiaTable::set_for(IngressId ingress) const {
-  const auto it = find_set(sets_, ingress);
-  return it == sets_.end() || it->first != ingress ? nullptr : &it->second;
+  return std::binary_search(ids_.begin(), ids_.end(), ingress)
+             ? &sets_[index_of(ingress)]
+             : nullptr;
 }
 
 void EiaTable::add_expected(IngressId ingress, const net::Prefix& prefix) {
@@ -136,22 +141,16 @@ void EiaTable::add_expected(IngressId ingress, const net::Prefix& prefix) {
 
 void EiaTable::declare_ingress(IngressId ingress) { (void)set_ref(ingress); }
 
-std::vector<IngressId> EiaTable::ingresses() const {
-  std::vector<IngressId> out;
-  out.reserve(sets_.size());
-  for (const auto& [ingress, set] : sets_) out.push_back(ingress);
-  return out;
-}
-
 std::size_t EiaTable::total_ranges() const {
   std::size_t total = 0;
-  for (const auto& [ingress, set] : sets_) total += set.range_count();
+  for (const auto& set : sets_) total += set.range_count();
   return total;
 }
 
 std::size_t EiaTable::memory_bytes() const {
-  std::size_t total = sets_.capacity() * sizeof(SetEntry);
-  for (const auto& [ingress, set] : sets_) total += set.memory_bytes();
+  std::size_t total =
+      sets_.capacity() * sizeof(EiaSet) + ids_.capacity() * sizeof(IngressId);
+  for (const auto& set : sets_) total += set.memory_bytes();
   return total;
 }
 
@@ -216,8 +215,8 @@ bool EiaTable::expire_if_idle(IngressId ingress, std::uint32_t key24,
       !lifecycle::idle_expired(age.last_seen, now, config_.lifecycle.max_idle_ms)) {
     return false;
   }
-  if (auto it = find_set(sets_, ingress); it != sets_.end() && it->first == ingress) {
-    it->second.remove(net::Prefix{net::IPv4Address{key24}, 24});
+  if (const std::size_t at = index_of(ingress); at < sets_.size()) {
+    sets_[at].remove(net::Prefix{net::IPv4Address{key24}, 24});
   }
   age.expired = true;
   ++lifecycle_stats_.entries_expired;
@@ -245,13 +244,13 @@ std::optional<IngressId> EiaTable::expected_ingress(net::IPv4Address source,
                                                     util::TimeMs now) {
   if (aging_enabled()) {
     const std::uint32_t key24 = source.value() & 0xFFFFFF00u;
-    for (const auto& [ingress, set] : sets_) {
+    for (const IngressId ingress : ids_) {
       auto it = age_.find((std::uint64_t{ingress} << 32) | key24);
       if (it != age_.end()) expire_if_idle(ingress, key24, it->second, now);
     }
   }
-  for (const auto& [ingress, set] : sets_) {
-    if (set.contains(source)) return ingress;
+  for (const IngressId ingress : ids_) {
+    if (member(ingress, source)) return ingress;
   }
   return std::nullopt;
 }

@@ -6,14 +6,17 @@
 // corresponding Peer AS' EIA set would be flagged as a potential attack."
 //
 // An EIA set is a set of address ranges, stored as sorted disjoint
-// intervals for O(log n) membership tests. The table supports the three
-// initialization modes of Section 5.1.3(a) (preload by subnet mask, by
-// hand, or learned from live flow data) and the Normal-processing-phase
-// auto-learning rule of Section 5.2: a source /24 is added to an ingress's
-// EIA set once enough flows from it arrive there.
+// intervals. Membership scans a small set branch-free and binary-searches
+// a large one. The table supports the three initialization modes of
+// Section 5.1.3(a) (preload by subnet mask, by hand, or learned from live
+// flow data) and the Normal-processing-phase auto-learning rule of
+// Section 5.2: a source /24 is added to an ingress's EIA set once enough
+// flows from it arrive there.
 //
-// Membership is exact: one EiaSet per ingress, held in a vector sorted by
-// ingress id (one entry per peer AS, so it stays small). Lifecycle aging
+// Membership is exact: one EiaSet per ingress, held in a dense vector
+// indexed by ingress id minus the lowest declared id (one entry per peer
+// AS, whose ids are contiguous collector ports, so it stays small and
+// finding a flow's set is one subtraction and one compare). Lifecycle aging
 // (src/lifecycle) unlearns an idle /24 by interval subtraction, and
 // core/eia_io persists the sets as minimal CIDR lists.
 
@@ -35,9 +38,15 @@ namespace infilter::core {
 /// Identifies an ingress (peer AS link); the flow's receiving port.
 using IngressId = std::uint16_t;
 
-/// A set of IPv4 ranges with O(log n) lookup.
+/// A set of IPv4 ranges. Lookup is a branch-free scan of up to
+/// kScanRanges ranges, and a binary search above that.
 class EiaSet {
  public:
+  /// Largest set that contains() scans linearly. A peer AS's EIA set is
+  /// a handful of prefixes, and a scan of that many costs less than the
+  /// mispredicted branches of a binary search over them.
+  static constexpr std::size_t kScanRanges = 16;
+
   /// Adds a prefix, merging overlapping/adjacent ranges.
   void add(const net::Prefix& prefix);
 
@@ -173,15 +182,16 @@ class EiaTable {
   /// Re-inserts one pending counter into its bank (shard migration).
   void restore_pending(std::uint64_t key, int count);
 
-  [[nodiscard]] std::size_t ingress_count() const { return sets_.size(); }
+  [[nodiscard]] std::size_t ingress_count() const { return ids_.size(); }
   /// `ingress`'s interval set, or null for unknown ingresses.
   [[nodiscard]] const EiaSet* set_for(IngressId ingress) const;
   [[nodiscard]] std::size_t pending_counters() const;
   /// All ingress ids with an EIA set, ascending.
-  [[nodiscard]] std::vector<IngressId> ingresses() const;
+  [[nodiscard]] const std::vector<IngressId>& ingresses() const { return ids_; }
   /// Stored ranges across every ingress's EIA set.
   [[nodiscard]] std::size_t total_ranges() const;
-  /// Bytes held by the EIA sets (infilter_eia_backend_bytes).
+  /// Bytes held by the EIA sets and their dense index
+  /// (infilter_eia_backend_bytes).
   [[nodiscard]] std::size_t memory_bytes() const;
   [[nodiscard]] const EiaStats& stats() const { return stats_; }
   [[nodiscard]] const EiaTableConfig& config() const { return config_; }
@@ -192,18 +202,23 @@ class EiaTable {
 
  private:
   using PendingMap = std::unordered_map<std::uint64_t, int>;
-  using SetEntry = std::pair<IngressId, EiaSet>;
 
   /// `ingress`'s set, created empty on first use.
   EiaSet& set_ref(IngressId ingress);
+  /// `ingress`'s position in the dense index; >= sets_.size() outside the
+  /// index's span (an id below base_ wraps). An undeclared id inside the
+  /// span has an empty set.
+  [[nodiscard]] std::size_t index_of(IngressId ingress) const {
+    return std::size_t{ingress} - base_;
+  }
 
   static std::uint64_t age_key(IngressId ingress, net::IPv4Address source) {
     return (std::uint64_t{ingress} << 32) | (source.value() & 0xFFFFFF00u);
   }
   /// Plain membership test, no aging and no stats.
   [[nodiscard]] bool member(IngressId ingress, net::IPv4Address source) const {
-    const EiaSet* set = set_for(ingress);
-    return set != nullptr && set->contains(source);
+    const std::size_t at = index_of(ingress);
+    return at < sets_.size() && sets_[at].contains(source);
   }
   /// Expires the entry behind `age` if it has idled out at `now`:
   /// membership removed, tombstone kept. Returns true when it did.
@@ -211,8 +226,12 @@ class EiaTable {
                       lifecycle::EntryAge& age, util::TimeMs now);
 
   EiaTableConfig config_;
-  /// Sorted by ingress id; one entry per peer AS.
-  std::vector<SetEntry> sets_;
+  /// The dense index: sets_[id - base_] is ingress id's set, from the
+  /// lowest declared id to the highest.
+  std::size_t base_ = 0;
+  std::vector<EiaSet> sets_;
+  /// Declared ingress ids, ascending.
+  std::vector<IngressId> ids_;
   EiaStats stats_;
   /// (ingress << 32 | source /24) -> observed mismatch count, banked by
   /// the /24's shard hash.

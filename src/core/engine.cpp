@@ -408,7 +408,7 @@ void InFilterEngine::finish_suspect_batch(std::span<const SuspectFlow> suspects,
   // Pass 3 -- alert emission in span order: ids and contents are exactly
   // those of emitting each alert at its suspect's turn (the
   // expected-ingress context was snapshotted at EIA-check time).
-  std::array<std::uint64_t, 4> alerts{};  // indexed by alert::DetectionStage
+  std::array<std::uint64_t, alert::kStageCount> alerts{};  // by stage
   if (sink_ != nullptr) {
     for (std::size_t i = 0; i < suspects.size(); ++i) {
       if (!out[i].attack) continue;
@@ -489,8 +489,6 @@ void InFilterEngine::emit_alert_with(const netflow::V5Record& record,
     a.nns_threshold = verdict.nns->threshold;
   }
   a.detection_latency_ms = now >= record.last ? static_cast<double>(now - record.last) : 0.0;
-  a.classification = std::string{"spoofed traffic ("} +
-                     std::string{alert::stage_name(verdict.stage)} + ")";
   sink_->consume(a);
 }
 

@@ -37,14 +37,17 @@ std::optional<IPv4Address> IPv4Address::parse(std::string_view text) {
   return IPv4Address{value};
 }
 
-std::string IPv4Address::to_string() const {
-  std::string out;
-  out.reserve(15);
+char* IPv4Address::write(char* out) const {
   for (int i = 0; i < 4; ++i) {
-    if (i > 0) out.push_back('.');
-    out += std::to_string(octet(i));
+    if (i > 0) *out++ = '.';
+    out = std::to_chars(out, out + 3, unsigned{octet(i)}).ptr;
   }
   return out;
+}
+
+std::string IPv4Address::to_string() const {
+  char text[kMaxTextSize];
+  return std::string(text, write(text));
 }
 
 std::optional<Prefix> Prefix::parse(std::string_view text) {

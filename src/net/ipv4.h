@@ -37,6 +37,12 @@ class IPv4Address {
     return static_cast<std::uint8_t>(value_ >> (8 * (3 - i)));
   }
 
+  /// Longest dotted quad, "255.255.255.255".
+  static constexpr std::size_t kMaxTextSize = 15;
+  /// Writes the dotted quad to `out`, which must have room for
+  /// kMaxTextSize chars, and returns the end of what it wrote. The one
+  /// formatter behind to_string() and the IDMEF writer.
+  char* write(char* out) const;
   /// Dotted-quad representation.
   [[nodiscard]] std::string to_string() const;
 

@@ -126,7 +126,6 @@ inline void expect_same_alert(const alert::Alert& x, const alert::Alert& y) {
   EXPECT_EQ(x.nns_distance, y.nns_distance);
   EXPECT_EQ(x.nns_threshold, y.nns_threshold);
   EXPECT_DOUBLE_EQ(x.detection_latency_ms, y.detection_latency_ms);
-  EXPECT_EQ(x.classification, y.classification);
 }
 
 /// Alert streams equal element-wise: same length, same order, every field.

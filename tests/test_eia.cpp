@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+
+#include "core/eia_io.h"
 #include "util/rng.h"
 
 namespace infilter::core {
@@ -330,6 +334,204 @@ TEST(EiaTable, SetForReturnsNullForUnknownIngress) {
   table.add_expected(1234, prefix("3.0.0.0/11"));
   ASSERT_NE(table.set_for(1234), nullptr);
   EXPECT_EQ(table.set_for(1234)->range_count(), 1u);
+}
+
+// -- Dense, branch-free membership against references ----------------------
+
+/// Membership as the ordered list of add/remove operations applied to a
+/// table: the last operation whose prefix covers an address decides it.
+class OpModel {
+ public:
+  void declare(IngressId ingress) { declared_.insert(ingress); }
+  void add(IngressId ingress, const net::Prefix& prefix) {
+    declare(ingress);
+    ops_.push_back({ingress, prefix, true});
+  }
+  void remove(IngressId ingress, const net::Prefix& prefix) {
+    ops_.push_back({ingress, prefix, false});
+  }
+  [[nodiscard]] bool declared(IngressId ingress) const {
+    return declared_.contains(ingress);
+  }
+  [[nodiscard]] bool contains(IngressId ingress, net::IPv4Address address) const {
+    for (auto op = ops_.rbegin(); op != ops_.rend(); ++op) {
+      if (op->ingress == ingress && op->prefix.contains(address)) return op->add;
+    }
+    return false;
+  }
+  /// The lowest declared ingress containing `address`.
+  [[nodiscard]] std::optional<IngressId> owner(net::IPv4Address address) const {
+    for (const IngressId ingress : declared_) {
+      if (contains(ingress, address)) return ingress;
+    }
+    return std::nullopt;
+  }
+
+ private:
+  struct Op {
+    IngressId ingress;
+    net::Prefix prefix;
+    bool add;
+  };
+  std::vector<Op> ops_;
+  std::set<IngressId> declared_;
+};
+
+using Intervals = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
+
+/// A set's contents as sorted [first, last] intervals, from its CIDR export.
+Intervals intervals_of(const EiaSet& set) {
+  Intervals out;
+  for (const auto& cidr : set.to_cidrs()) {
+    out.emplace_back(cidr.first().value(), cidr.last().value());
+  }
+  return out;
+}
+
+/// Membership by binary search, as EiaSet::contains did for every set
+/// before small sets were scanned.
+bool binary_search_contains(const Intervals& intervals, std::uint32_t value) {
+  const auto it = std::upper_bound(
+      intervals.begin(), intervals.end(), value,
+      [](std::uint32_t v, const auto& interval) { return v < interval.first; });
+  return it != intervals.begin() && value <= std::prev(it)->second;
+}
+
+/// Mostly short random prefixes, a sixth anchored at 0.0.0.0 and a sixth
+/// ending at 255.255.255.255.
+net::Prefix random_prefix(util::Rng& rng) {
+  const auto length = static_cast<int>(rng.below(33));
+  switch (rng.below(6)) {
+    case 0: return net::Prefix{net::IPv4Address{0u}, length};
+    case 1: return net::Prefix{net::IPv4Address{0xFFFFFFFFu}, length};
+    default:
+      return net::Prefix{net::IPv4Address{static_cast<std::uint32_t>(rng())},
+                         12 + static_cast<int>(rng.below(21))};
+  }
+}
+
+/// Checks every membership surface of `table` against `model`: set_for,
+/// the dense-index is_expected, EiaSet::contains, the binary-search
+/// reference over the set's own contents, and expected_ingress.
+void expect_matches(EiaTable& table, const OpModel& model,
+                    const std::vector<IngressId>& ids,
+                    const std::vector<std::uint32_t>& probes, util::TimeMs now) {
+  for (const IngressId ingress : ids) {
+    SCOPED_TRACE("ingress " + std::to_string(ingress));
+    const EiaSet* set = table.set_for(ingress);
+    ASSERT_EQ(set != nullptr, model.declared(ingress));
+    const Intervals intervals = set != nullptr ? intervals_of(*set) : Intervals{};
+    for (const std::uint32_t probe : probes) {
+      const net::IPv4Address address{probe};
+      const bool truth = model.contains(ingress, address);
+      ASSERT_EQ(table.is_expected(ingress, address, now), truth) << address.to_string();
+      if (set == nullptr) continue;
+      ASSERT_EQ(set->contains(address), truth) << address.to_string();
+      ASSERT_EQ(binary_search_contains(intervals, probe), truth) << address.to_string();
+    }
+  }
+  for (const std::uint32_t probe : probes) {
+    const net::IPv4Address address{probe};
+    ASSERT_EQ(table.expected_ingress(address, now), model.owner(address))
+        << address.to_string();
+  }
+}
+
+TEST(EiaTable, DenseMembershipMatchesReferencesThroughEveryMutation) {
+  EiaTableConfig config;
+  config.learn_threshold = 1;
+  config.lifecycle.max_idle_ms = 1000;
+  constexpr util::TimeMs kLearnAt = 5000;
+  constexpr util::TimeMs kSweepAt = kLearnAt + 10 * 1000;
+  util::Rng rng{26};
+  for (int round = 0; round < 6; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    // Declared ids span the whole id space on even rounds; ids every
+    // round leaves out sit below, inside and above the index's span.
+    std::vector<IngressId> declared{9001, 9002, 9004, 9009};
+    if (round % 2 == 0) {
+      declared.push_back(0);
+      declared.push_back(0xFFFF);
+    }
+    std::vector<IngressId> ids = declared;
+    for (const IngressId absent : {1, 8999, 9000, 9003, 9005, 9010, 0xFFFE}) {
+      ids.push_back(absent);
+    }
+
+    EiaTable table(config);
+    OpModel model;
+    std::vector<net::Prefix> touched;
+    for (const IngressId ingress : declared) {
+      // Set sizes on both sides of the scan/binary-search cut-over.
+      const auto prefixes = rng.below(3 * EiaSet::kScanRanges);
+      model.declare(ingress);
+      table.declare_ingress(ingress);
+      for (std::uint64_t p = 0; p < prefixes; ++p) {
+        const net::Prefix prefix = random_prefix(rng);
+        table.add_expected(ingress, prefix);
+        model.add(ingress, prefix);
+        touched.push_back(prefix);
+      }
+    }
+    std::vector<std::uint32_t> probes{0u, 1u, 0x7FFFFFFFu, 0x80000000u, 0xFFFFFFFEu,
+                                      0xFFFFFFFFu};
+    for (int p = 0; p < 300; ++p) probes.push_back(static_cast<std::uint32_t>(rng()));
+    const auto add_edges = [&](const net::Prefix& prefix) {
+      for (const std::uint32_t edge : {prefix.first().value(), prefix.last().value()}) {
+        probes.push_back(edge - 1);
+        probes.push_back(edge);
+        probes.push_back(edge + 1);
+      }
+    };
+    for (const auto& prefix : touched) add_edges(prefix);
+    expect_matches(table, model, ids, probes, 0);
+
+    // Learning adds /24s (some inside preloads); the sweep past their
+    // idle limit unlearns every one by interval subtraction.
+    std::vector<std::pair<IngressId, net::Prefix>> learned;
+    for (const IngressId ingress : declared) {
+      for (int k = 0; k < 12; ++k) {
+        const net::IPv4Address source{static_cast<std::uint32_t>(
+            k % 3 == 0 && !touched.empty()
+                ? touched[rng.below(touched.size())].first().value() + rng.below(256)
+                : rng())};
+        ASSERT_TRUE(table.observe_mismatch(ingress, source, kLearnAt));
+        learned.emplace_back(ingress, net::Prefix{source, 24});
+        model.add(ingress, learned.back().second);
+        add_edges(learned.back().second);
+      }
+    }
+    expect_matches(table, model, ids, probes, kLearnAt);
+    EXPECT_GT(table.age_sweep(kSweepAt), 0u);
+    for (const auto& [ingress, prefix] : learned) model.remove(ingress, prefix);
+    expect_matches(table, model, ids, probes, kSweepAt);
+
+    // A copy answers alike and owns its index: growing it below the
+    // original's lowest id leaves the original untouched.
+    EiaTable copy = table;
+    expect_matches(copy, model, ids, probes, kSweepAt);
+    OpModel copy_model = model;
+    copy.add_expected(round % 2 == 0 ? 1 : 8999, net::Prefix{net::IPv4Address{0u}, 1});
+    copy_model.add(round % 2 == 0 ? 1 : 8999, net::Prefix{net::IPv4Address{0u}, 1});
+    expect_matches(copy, copy_model, ids, probes, kSweepAt);
+    expect_matches(table, model, ids, probes, kSweepAt);
+
+    // So does the table rebuilt from its persisted form.
+    auto imported = import_eia(export_eia(table), config);
+    ASSERT_TRUE(imported.has_value()) << imported.error().message;
+    expect_matches(*imported, model, ids, probes, kSweepAt);
+  }
+}
+
+TEST(EiaTable, MemoryBytesCountsTheDenseIndex) {
+  EiaTable table;
+  table.declare_ingress(9001);
+  const std::size_t one = table.memory_bytes();
+  EXPECT_GE(one, sizeof(EiaSet));
+  // A span of 10 ids holds 10 sets, declared or not.
+  table.declare_ingress(9010);
+  EXPECT_GE(table.memory_bytes(), one + 9 * sizeof(EiaSet));
+  EXPECT_EQ(table.ingress_count(), 2u);
 }
 
 }  // namespace

@@ -13,7 +13,7 @@ Alert random_alert(util::Rng& rng) {
   Alert a;
   a.id = rng();
   a.create_time = rng.below(1 << 30);
-  a.stage = static_cast<DetectionStage>(rng.below(3));
+  a.stage = static_cast<DetectionStage>(rng.below(kStageCount));
   a.source_ip = net::IPv4Address{static_cast<std::uint32_t>(rng())};
   a.target_ip = net::IPv4Address{static_cast<std::uint32_t>(rng())};
   a.target_port = static_cast<std::uint16_t>(rng.below(65536));
@@ -26,7 +26,6 @@ Alert random_alert(util::Rng& rng) {
     a.nns_distance = static_cast<int>(rng.below(720));
     a.nns_threshold = static_cast<int>(rng.below(200));
   }
-  a.classification = "spoofed traffic (" + std::string(stage_name(a.stage)) + ")";
   return a;
 }
 
@@ -44,7 +43,6 @@ TEST(IdmefParse, RoundTripsRandomAlerts) {
     EXPECT_EQ(parsed->target_port, original.target_port);
     EXPECT_EQ(parsed->ingress_port, original.ingress_port);
     EXPECT_EQ(parsed->expected_ingress, original.expected_ingress);
-    EXPECT_EQ(parsed->classification, original.classification);
     if (original.target_port != 0) EXPECT_EQ(parsed->proto, original.proto);
     if (original.stage == DetectionStage::kNnsDistance) {
       EXPECT_EQ(parsed->nns_distance, original.nns_distance);
@@ -111,6 +109,33 @@ TEST(IdmefParse, RejectsUnknownStage) {
   ASSERT_NE(at, std::string::npos);
   xml.replace(at + 1, needle.size(), "quantum-oracle");
   EXPECT_FALSE(parse_idmef(xml).has_value());
+}
+
+TEST(IdmefParse, EveryStageRoundTrips) {
+  util::Rng rng{10};
+  for (std::size_t i = 0; i < kStageCount; ++i) {
+    Alert alert = random_alert(rng);
+    alert.stage = static_cast<DetectionStage>(i);
+    const auto parsed = parse_idmef(alert.to_idmef_xml());
+    ASSERT_TRUE(parsed.has_value()) << stage_name(alert.stage) << ": "
+                                    << parsed.error().message;
+    EXPECT_EQ(parsed->stage, alert.stage);
+    EXPECT_EQ(parsed->classification(), alert.classification());
+  }
+}
+
+TEST(IdmefParse, RejectsClassificationThatContradictsStage) {
+  util::Rng rng{11};
+  Alert alert = random_alert(rng);
+  alert.stage = DetectionStage::kHopCountFusion;
+  auto xml = alert.to_idmef_xml();
+  const std::string needle(alert.classification());
+  const auto at = xml.find("text=\"" + needle + "\"");
+  ASSERT_NE(at, std::string::npos);
+  xml.replace(at + 6, needle.size(), "spoofed traffic (eia-mismatch)");
+  const auto parsed = parse_idmef(xml);
+  ASSERT_FALSE(parsed.has_value());
+  EXPECT_NE(parsed.error().message.find("classification"), std::string::npos);
 }
 
 TEST(IdmefParse, RejectsNonIdmefText) {

@@ -227,7 +227,6 @@ TEST_P(SeededProperty, ImportNeverCrashesOnMutatedDumps) {
       a.nns_distance = 310;
       a.nns_threshold = 120;
     }
-    a.classification = "spoofed traffic (" + std::string(alert::stage_name(a.stage)) + ")";
     alerts.push_back(std::move(a));
   }
   const std::string idmef_feed = render_idmef(alerts);
