@@ -12,8 +12,10 @@
 // resize must have completed with state migrated.
 //
 // Steady-state allocation probes ride along: with aging on, a warm
-// pre_process_batch over EIA-miss flows must not touch the heap, and
-// neither may a warm finish_suspect_batch that emits fused and NNS alerts.
+// pre_process_batch over EIA-miss flows must not touch the heap, nor may
+// one over never-seen EIA-miss /24s into full pending banks, nor a warm
+// finish_suspect_batch that runs scan analysis and emits fused and NNS
+// alerts.
 //
 // Usage:
 //   lifecycle_soak [--smoke] [--seed N] [--out BENCH_lifecycle.json]
@@ -28,6 +30,7 @@
 #include "obs/export.h"
 #include "sim/soak.h"
 #include "util/args.h"
+#include "util/count_table.h"
 #include "util/rng.h"
 
 #include "heap_counter.h"
@@ -95,6 +98,56 @@ std::uint64_t probe_aging_allocs() {
   return allocs;
 }
 
+/// Heap allocations of one warm pre_process_batch over 256 never-seen
+/// EIA-miss /24s, with every pending bank already full: each flow's
+/// observe_mismatch finds no counter, and new keys keep arriving until the
+/// banks decay. The earlier passes grow the banks to their bound (16
+/// counters each, so more than the minimum slot array) and size the batch
+/// vectors; the counted pass must allocate nothing and must decay.
+std::uint64_t probe_key_flood_allocs() {
+  core::EngineConfig config;
+  config.eia.learn_threshold = 1 << 20;
+  config.eia.max_pending_counters = 16 * core::EiaTable::kPendingBanks;
+  core::InFilterEngine engine(config);
+  for (std::uint32_t s = 0; s < 4; ++s) {
+    engine.add_expected(static_cast<core::IngressId>(9001 + s),
+                        net::Prefix{net::IPv4Address{(10u + s) << 24}, 8});
+  }
+  std::vector<core::FlowInput> flows(256);
+  std::vector<core::Verdict> verdicts(flows.size());
+  std::vector<core::SuspectFlow> suspects;
+  std::vector<std::uint32_t> positions;
+  std::uint64_t allocs = 0;
+  std::uint64_t rejected_before = 0;
+  constexpr std::uint32_t kPasses = 12;
+  for (std::uint32_t pass = 0; pass < kPasses; ++pass) {
+    for (std::uint32_t i = 0; i < flows.size(); ++i) {
+      const std::uint32_t slash24 = pass * 256 + i;
+      flows[i].record.src_ip = net::IPv4Address{(20u << 24) | (slash24 << 8) | 7u};
+      flows[i].record.dst_ip = net::IPv4Address{(192u << 24) | 1u};
+      flows[i].ingress = static_cast<core::IngressId>(9001 + i % 4);
+      flows[i].now = 1000 * (pass + 1);
+    }
+    suspects.clear();
+    positions.clear();
+    rejected_before = engine.eia().stats().pending_rejected;
+    const auto before = bench::heap_allocs();
+    engine.pre_process_batch(flows, verdicts, suspects, positions);
+    allocs = bench::heap_allocs() - before;
+  }
+  const auto& eia = engine.eia();
+  if (eia.stats().pending_rejected == rejected_before ||
+      eia.pending_counters() > config.eia.max_pending_counters ||
+      eia.pending_bank_slots() <= util::CountTable<std::uint64_t>::kMinCapacity) {
+    std::fprintf(stderr,
+                 "lifecycle_soak: the key-flood probe did not decay full, grown banks "
+                 "(%zu counters, %zu slots per bank)\n",
+                 eia.pending_counters(), eia.pending_bank_slots());
+    return ~std::uint64_t{0};
+  }
+  return allocs;
+}
+
 /// Heap allocations of one warm pre_process_batch over 256 EIA-vouched
 /// flows with aging and hop-count both on: every flow runs the
 /// aging-aware is_expected and the hop-count classify-and-observe on a key
@@ -149,10 +202,13 @@ class CountingSink final : public alert::AlertSink {
 };
 
 /// Heap allocations of one warm finish_suspect_batch that emits an alert
-/// for every suspect, scan off: half take the fused path, half reach NNS
-/// as UDP flows, which the TCP-only training leaves anomalous. Building
-/// an alert is part of the emitting stage, so it must not allocate; the
-/// earlier pass sizes the NNS scratch.
+/// for every suspect, scan on: half take the fused path, half pass scan
+/// analysis and reach NNS as UDP flows, which the TCP-only training leaves
+/// anomalous. Those go to 14 hosts x 14 ports, one fewer than either scan
+/// threshold, so scan clears them while its (host, port) pairs enter and
+/// leave the 200-flow buffer. Building an alert is part of the emitting
+/// stage, so it must not allocate; the earlier passes fill the scan buffer
+/// and size the NNS scratch.
 std::uint64_t probe_alert_allocs() {
   util::Rng rng{7};
   const auto random_record = [&](std::uint8_t proto) {
@@ -171,7 +227,6 @@ std::uint64_t probe_alert_allocs() {
   for (auto& record : training) record = random_record(6);
 
   core::EngineConfig config;
-  config.use_scan_analysis = false;
   config.cluster.bits_per_feature = 48;
   CountingSink sink;
   core::InFilterEngine engine(config, &sink);
@@ -181,6 +236,9 @@ std::uint64_t probe_alert_allocs() {
   for (std::size_t i = 0; i < suspects.size(); ++i) {
     auto& suspect = suspects[i];
     suspect.record = random_record(17);
+    suspect.record.dst_ip =
+        net::IPv4Address{(192u << 24) | static_cast<std::uint32_t>(rng.below(14))};
+    suspect.record.dst_port = static_cast<std::uint16_t>(1434 + rng.below(14));
     suspect.ingress = static_cast<core::IngressId>(9001 + i % 4);
     suspect.now = 1000;
     suspect.expected = static_cast<core::IngressId>(9005);
@@ -188,7 +246,7 @@ std::uint64_t probe_alert_allocs() {
   }
   std::vector<core::Verdict> verdicts(suspects.size());
   std::uint64_t allocs = 0;
-  for (int pass = 0; pass < 2; ++pass) {
+  for (int pass = 0; pass < 3; ++pass) {
     sink.per_stage = {};
     const auto before = bench::heap_allocs();
     engine.finish_suspect_batch(suspects, verdicts);
@@ -198,7 +256,8 @@ std::uint64_t probe_alert_allocs() {
     return sink.per_stage[static_cast<std::size_t>(stage)];
   };
   if (stage_alerts(alert::DetectionStage::kHopCountFusion) != suspects.size() / 2 ||
-      stage_alerts(alert::DetectionStage::kNnsDistance) != suspects.size() / 2) {
+      stage_alerts(alert::DetectionStage::kNnsDistance) != suspects.size() / 2 ||
+      engine.scan().stats().evictions == 0) {
     std::fprintf(stderr,
                  "lifecycle_soak: the alert probe emitted %llu fused and %llu NNS alerts\n",
                  static_cast<unsigned long long>(
@@ -268,9 +327,14 @@ int main(int argc, char** argv) {
       "steady-state heap allocations, aging and hop-count on, 256 EIA-vouched flows: %llu\n",
       static_cast<unsigned long long>(hopcount_allocs));
 
+  const std::uint64_t key_flood_allocs = probe_key_flood_allocs();
+  std::printf(
+      "steady-state heap allocations, 256 never-seen EIA-miss /24s into full pending banks: "
+      "%llu\n",
+      static_cast<unsigned long long>(key_flood_allocs));
   const std::uint64_t alert_allocs = probe_alert_allocs();
   std::printf(
-      "steady-state heap allocations, 256 suspects alerted (fused and NNS, scan off): %llu\n",
+      "steady-state heap allocations, 256 suspects alerted (fused and NNS, scan on): %llu\n",
       static_cast<unsigned long long>(alert_allocs));
 
   // The regression gates: churn must be quality-neutral over the horizon.
@@ -302,8 +366,10 @@ int main(int argc, char** argv) {
           "the warm EIA stage allocates with aging on");
   require(INFILTER_BENCH_SANITIZED || hopcount_allocs == 0,
           "the warm EIA + hop-count stages allocate with aging and hop-count on");
+  require(INFILTER_BENCH_SANITIZED || key_flood_allocs == 0,
+          "the warm EIA stage allocates under a flood of new /24s");
   require(INFILTER_BENCH_SANITIZED || alert_allocs == 0,
-          "the warm suspect stage allocates while emitting alerts");
+          "the warm suspect stage allocates while scanning and emitting alerts");
 
   std::string doc = "{\n  \"bench\": \"lifecycle\",\n";
   doc += "  \"seed\": " + std::to_string(soak.base.seed) + ",\n";
@@ -311,6 +377,8 @@ int main(int argc, char** argv) {
   doc += "  \"wave_gap_ms\": " + std::to_string(soak.wave_gap_ms) + ",\n";
   doc += "  \"steady_state_heap_allocs\": " + std::to_string(aging_allocs) + ",\n";
   doc += "  \"steady_state_heap_allocs_hopcount\": " + std::to_string(hopcount_allocs) +
+         ",\n";
+  doc += "  \"steady_state_heap_allocs_key_flood\": " + std::to_string(key_flood_allocs) +
          ",\n";
   doc += "  \"steady_state_heap_allocs_alerts\": " + std::to_string(alert_allocs) + ",\n";
   doc += "  \"runs\": [\n";

@@ -160,6 +160,12 @@ std::size_t EiaTable::pending_counters() const {
   return total;
 }
 
+std::size_t EiaTable::pending_bank_slots() const {
+  std::size_t largest = 0;
+  for (const auto& bank : pending_) largest = std::max(largest, bank.capacity());
+  return largest;
+}
+
 bool EiaTable::observe_mismatch(IngressId ingress, net::IPv4Address source,
                                 util::TimeMs now) {
   const std::uint32_t key24 = source.value() & 0xFFFFFF00u;
@@ -169,36 +175,20 @@ bool EiaTable::observe_mismatch(IngressId ingress, net::IPv4Address source,
   // on the same runtime shard: a flow's learning outcome stays a function
   // of its own shard's history at every power-of-two shard count.
   auto& bank = pending_[util::SplitMix64{key24}.next() % kPendingBanks];
-  auto it = bank.find(key);
-  if (it == bank.end()) {
-    if (bank.size() >= pending_bank_cap_) {
-      // Insert-when-full: decay instead of the historical silent refusal
-      // (which let a spoofed flood permanently starve legitimate new
-      // sources of learning). Halve every counter and sweep the zeroed
-      // ones -- a flood's once-seen keys all go -- then, if the bank is
-      // somehow still full of entries with >= 2 observations, evict the
-      // deterministic minimum so the newcomer always gets a counter.
-      ++stats_.pending_rejected;
-      for (auto entry = bank.begin(); entry != bank.end();) {
-        entry->second /= 2;
-        entry = entry->second == 0 ? bank.erase(entry) : std::next(entry);
-      }
-      if (bank.size() >= pending_bank_cap_) {
-        auto victim = bank.begin();
-        for (auto entry = std::next(bank.begin()); entry != bank.end(); ++entry) {
-          if (entry->second < victim->second ||
-              (entry->second == victim->second && entry->first < victim->first)) {
-            victim = entry;
-          }
-        }
-        bank.erase(victim);
-      }
-    }
-    it = bank.emplace(key, 0).first;
+  if (bank.size() >= pending_bank_cap_ && bank.count(key) == 0) {
+    // Insert-when-full: decay instead of the historical silent refusal
+    // (which let a spoofed flood permanently starve legitimate new
+    // sources of learning). Halve every counter and sweep the zeroed
+    // ones -- a flood's once-seen keys all go -- then, if the bank is
+    // somehow still full of entries with >= 2 observations, evict the
+    // deterministic minimum so the newcomer always gets a counter.
+    ++stats_.pending_rejected;
+    bank.halve();
+    if (bank.size() >= pending_bank_cap_) bank.erase_min();
   }
-  if (++it->second < config_.learn_threshold) return false;
+  if (static_cast<int>(bank.increment(key)) < config_.learn_threshold) return false;
   set_ref(ingress).add(net::Prefix{source, 24});
-  bank.erase(it);
+  bank.erase(key);
   if (aging_enabled()) {
     auto& age = age_[key];
     if (age.expired) ++lifecycle_stats_.entries_relearned;
@@ -286,14 +276,20 @@ void EiaTable::restore_age(IngressId ingress, std::uint32_t key24,
 
 std::vector<std::pair<std::uint64_t, int>> EiaTable::pending_entries() const {
   std::vector<std::pair<std::uint64_t, int>> out;
-  for (const auto& bank : pending_) out.insert(out.end(), bank.begin(), bank.end());
+  out.reserve(pending_counters());
+  for (const auto& bank : pending_) {
+    bank.for_each([&](std::uint64_t key, std::uint32_t count) {
+      out.emplace_back(key, static_cast<int>(count));
+    });
+  }
   std::sort(out.begin(), out.end());
   return out;
 }
 
 void EiaTable::restore_pending(std::uint64_t key, int count) {
   const auto key24 = static_cast<std::uint32_t>(key & 0xFFFFFFFFu);
-  pending_[util::SplitMix64{key24}.next() % kPendingBanks][key] = count;
+  pending_[util::SplitMix64{key24}.next() % kPendingBanks].assign(
+      key, static_cast<std::uint32_t>(std::max(count, 0)));
 }
 
 }  // namespace infilter::core

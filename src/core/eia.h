@@ -31,6 +31,7 @@
 
 #include "lifecycle/lifecycle.h"
 #include "net/ipv4.h"
+#include "util/count_table.h"
 #include "util/time.h"
 
 namespace infilter::core {
@@ -89,14 +90,17 @@ struct EiaTableConfig {
   /// Flows from the same (ingress, source /24) before the /24 is learned
   /// into that ingress's EIA set (Section 5.2a's "predefined threshold").
   int learn_threshold = 5;
-  /// Bound on the pending learn-counter map; spoofed floods would
-  /// otherwise grow it without limit. The bound is enforced per bank
+  /// Bound on the pending learn counters; spoofed floods would otherwise
+  /// grow them without limit. The bound is enforced per bank
   /// (kPendingBanks banks keyed by the source /24's shard hash, cap =
   /// max_pending_counters / kPendingBanks, at least 1): when a bank is
-  /// full, counters in it are halved and zeroed entries swept -- and if
-  /// that frees nothing, the smallest (count, key) entry is evicted -- so
-  /// a spoofed flood can delay but never permanently block a legitimate
-  /// new source from learning. Bank-local decay keeps a flow's learning
+  /// full, counters in it are halved and zeroed entries swept in place --
+  /// and if that frees nothing, the smallest (count, key) entry is evicted
+  /// -- so a spoofed flood can delay but never permanently block a
+  /// legitimate new source from learning. Each bank is an open-addressed
+  /// count table that grows lazily to at most
+  /// CountTable::capacity_for(cap) slots, so a warm bank takes a flood of
+  /// new keys without allocating. Bank-local decay keeps a flow's learning
   /// outcome a function of its own shard's history, preserving the
   /// sharded runtime's replay contract.
   std::size_t max_pending_counters = 1 << 20;
@@ -179,13 +183,19 @@ class EiaTable {
   /// Pending learn counters, sorted by key -- deterministic export for
   /// shard migration. Key layout: (ingress << 32) | source /24.
   [[nodiscard]] std::vector<std::pair<std::uint64_t, int>> pending_entries() const;
-  /// Re-inserts one pending counter into its bank (shard migration).
+  /// Re-inserts one pending counter into its bank (shard migration),
+  /// ignoring the bank cap like an import. A count <= 0 clears the key's
+  /// counter.
   void restore_pending(std::uint64_t key, int count);
 
   [[nodiscard]] std::size_t ingress_count() const { return ids_.size(); }
   /// `ingress`'s interval set, or null for unknown ingresses.
   [[nodiscard]] const EiaSet* set_for(IngressId ingress) const;
   [[nodiscard]] std::size_t pending_counters() const;
+  /// Slots of the largest pending bank. Without restore_pending past the
+  /// bank cap, never above PendingBank::capacity_for(max_pending_counters
+  /// / kPendingBanks).
+  [[nodiscard]] std::size_t pending_bank_slots() const;
   /// All ingress ids with an EIA set, ascending.
   [[nodiscard]] const std::vector<IngressId>& ingresses() const { return ids_; }
   /// Stored ranges across every ingress's EIA set.
@@ -199,10 +209,10 @@ class EiaTable {
   /// Pending-map banks; a power of two so bank-local decay refines every
   /// power-of-two runtime shard count (see max_pending_counters).
   static constexpr std::size_t kPendingBanks = 64;
+  /// One pending bank: (ingress << 32 | source /24) -> mismatch count.
+  using PendingBank = util::CountTable<std::uint64_t>;
 
  private:
-  using PendingMap = std::unordered_map<std::uint64_t, int>;
-
   /// `ingress`'s set, created empty on first use.
   EiaSet& set_ref(IngressId ingress);
   /// `ingress`'s position in the dense index; >= sets_.size() outside the
@@ -235,7 +245,7 @@ class EiaTable {
   EiaStats stats_;
   /// (ingress << 32 | source /24) -> observed mismatch count, banked by
   /// the /24's shard hash.
-  std::array<PendingMap, kPendingBanks> pending_;
+  std::array<PendingBank, kPendingBanks> pending_;
   std::size_t pending_bank_cap_;
   /// (ingress << 32 | source /24) -> age metadata for auto-learned keys
   /// (preloads exempt); expired entries stay as tombstones.

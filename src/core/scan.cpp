@@ -1,65 +1,59 @@
 #include "core/scan.h"
 
 #include <algorithm>
-#include <cassert>
 
 namespace infilter::core {
 
 ScanAnalysis::ScanAnalysis(ScanConfig config) : config_(config) {
   // Clamp rather than assert: an assert disappears in release builds, and
-  // buffer_size == 0 would then call evict_oldest() on an empty deque
-  // (undefined behavior) on the first observe(). Thresholds below 2 would
-  // flag every buffered flow, which no caller can mean.
+  // buffer_size == 0 would then evict from an empty ring on the first
+  // observe(). Thresholds below 2 would flag every buffered flow, which no
+  // caller can mean.
   config_.buffer_size = std::max<std::size_t>(config_.buffer_size, 1);
   config_.network_scan_threshold = std::max(config_.network_scan_threshold, 2);
   config_.host_scan_threshold = std::max(config_.host_scan_threshold, 2);
 }
 
 ScanVerdict ScanAnalysis::observe(const netflow::V5Record& record) {
-  while (buffer_.size() >= config_.buffer_size) evict_oldest();
+  const PairKey pair = PairKey{record.dst_ip.value()} << 16 | record.dst_port;
+  if (ring_.size() < config_.buffer_size) {
+    ring_.push_back(pair);
+  } else {
+    evict(ring_[oldest_]);
+    ring_[oldest_] = pair;
+    if (++oldest_ == ring_.size()) oldest_ = 0;
+  }
 
   ++stats_.observed;
-  const BufferedFlow flow{record.dst_ip.value(), record.dst_port};
-  buffer_.push_back(flow);
-  by_port_[flow.dst_port][flow.dst_ip] += 1;
-  by_host_[flow.dst_ip][flow.dst_port] += 1;
+  // A pair's first buffered flow adds one distinct host to its port and
+  // one distinct port to its host; a repeat changes neither count.
+  const bool new_pair = pairs_.increment(pair) == 1;
+  const auto hosts = static_cast<int>(new_pair ? hosts_on_port_.increment(record.dst_port)
+                                               : hosts_on_port_.count(record.dst_port));
+  const auto ports = static_cast<int>(new_pair ? ports_on_host_.increment(record.dst_ip.value())
+                                               : ports_on_host_.count(record.dst_ip.value()));
 
-  if (hosts_on_port(flow.dst_port) >= config_.network_scan_threshold) {
+  if (hosts >= config_.network_scan_threshold) {
     ++stats_.network_scans;
     return ScanVerdict::kNetworkScan;
   }
-  if (ports_on_host(record.dst_ip) >= config_.host_scan_threshold) {
+  if (ports >= config_.host_scan_threshold) {
     ++stats_.host_scans;
     return ScanVerdict::kHostScan;
   }
   return ScanVerdict::kClean;
 }
 
-int ScanAnalysis::hosts_on_port(std::uint16_t dst_port) const {
-  const auto it = by_port_.find(dst_port);
-  return it == by_port_.end() ? 0 : static_cast<int>(it->second.size());
-}
-
-int ScanAnalysis::ports_on_host(net::IPv4Address host) const {
-  const auto it = by_host_.find(host.value());
-  return it == by_host_.end() ? 0 : static_cast<int>(it->second.size());
-}
-
-void ScanAnalysis::evict_oldest() {
-  assert(!buffer_.empty());
+void ScanAnalysis::evict(PairKey pair) {
   ++stats_.evictions;
-  const BufferedFlow flow = buffer_.front();
-  buffer_.pop_front();
+  if (pairs_.decrement(pair) != 0) return;
+  hosts_on_port_.decrement(static_cast<std::uint16_t>(pair));
+  ports_on_host_.decrement(static_cast<std::uint32_t>(pair >> 16));
+}
 
-  auto port_it = by_port_.find(flow.dst_port);
-  assert(port_it != by_port_.end());
-  if (--port_it->second[flow.dst_ip] <= 0) port_it->second.erase(flow.dst_ip);
-  if (port_it->second.empty()) by_port_.erase(port_it);
-
-  auto host_it = by_host_.find(flow.dst_ip);
-  assert(host_it != by_host_.end());
-  if (--host_it->second[flow.dst_port] <= 0) host_it->second.erase(flow.dst_port);
-  if (host_it->second.empty()) by_host_.erase(host_it);
+std::size_t ScanAnalysis::table_slots() const {
+  return std::max({pairs_.capacity(), hosts_on_port_.capacity(),
+                   ports_on_host_.capacity()});
 }
 
 }  // namespace infilter::core

@@ -8,6 +8,7 @@
 #include <set>
 
 #include "core/eia_io.h"
+#include "suspect_state_reference.h"
 #include "util/rng.h"
 
 namespace infilter::core {
@@ -314,6 +315,105 @@ TEST(EiaTable, LegitimateSourceLearnsThroughAttackerFlood) {
   const auto legit = ip("77.200.1.1");
   EXPECT_FALSE(table.observe_mismatch(9001, legit, 0));
   EXPECT_FALSE(table.observe_mismatch(9001, legit, 0));
+  EXPECT_TRUE(table.observe_mismatch(9001, legit, 0));
+  EXPECT_TRUE(table.is_expected(9001, ip("77.200.1.200"), 0));
+}
+
+/// A mismatch stream for the pending-bank tests: sources drawn from a pool
+/// small enough that some (ingress, /24) keys reach the learn threshold
+/// and large enough that the banks overflow, so decay and min-eviction
+/// both fire.
+std::vector<std::pair<IngressId, net::IPv4Address>> mismatch_stream(std::uint64_t seed,
+                                                                    std::size_t length) {
+  util::Rng rng{seed};
+  std::vector<std::pair<IngressId, net::IPv4Address>> out;
+  for (std::size_t i = 0; i < length; ++i) {
+    const auto slash24 = static_cast<std::uint32_t>(rng.below(rng.below(4) == 0 ? 40 : 3000));
+    out.emplace_back(static_cast<IngressId>(9001 + rng.below(3)),
+                     net::IPv4Address{(0x50000000u + (slash24 << 8)) | 7u});
+  }
+  return out;
+}
+
+TEST(EiaTable, PendingBanksMatchTheNodeBasedReference) {
+  for (const std::size_t bank_cap : {1u, 2u, 3u, 4u}) {
+    for (const int threshold : {2, 3, 5}) {
+      EiaTableConfig config;
+      config.learn_threshold = threshold;
+      config.max_pending_counters = bank_cap * EiaTable::kPendingBanks;
+      EiaTable table(config);
+      reference::ReferencePendingBanks model(threshold, config.max_pending_counters);
+      const auto stream = mismatch_stream(bank_cap * 10 + threshold, 6000);
+      for (std::size_t i = 0; i < stream.size(); ++i) {
+        const auto [ingress, source] = stream[i];
+        const std::string where = "cap " + std::to_string(bank_cap) + " threshold " +
+                                  std::to_string(threshold) + " flow " + std::to_string(i);
+        ASSERT_EQ(table.observe_mismatch(ingress, source, 0), model.observe(ingress, source))
+            << where;
+        ASSERT_EQ(table.pending_counters(), model.counters()) << where;
+        ASSERT_EQ(table.stats().pending_rejected, model.rejected) << where;
+        if (i % 16 == 0) {
+          ASSERT_EQ(table.pending_entries(), model.entries()) << where;
+        }
+        ASSERT_LE(table.pending_bank_slots(),
+                  EiaTable::PendingBank::capacity_for(bank_cap)) << where;
+      }
+      EXPECT_EQ(table.pending_entries(), model.entries());
+      EXPECT_GT(model.rejected, 0u);
+    }
+  }
+}
+
+TEST(EiaTable, RestoredPendingCountersContinueLikeTheOriginal) {
+  // restore_pending round trip: a fresh table (and the reference) rebuilt
+  // from pending_entries() learns exactly as the original does from then on.
+  EiaTableConfig config;
+  config.learn_threshold = 3;
+  config.max_pending_counters = 3 * EiaTable::kPendingBanks;
+  EiaTable original(config);
+  const auto stream = mismatch_stream(77, 8000);
+  for (std::size_t i = 0; i < stream.size() / 2; ++i) {
+    original.observe_mismatch(stream[i].first, stream[i].second, 0);
+  }
+  const auto pending = original.pending_entries();
+  ASSERT_FALSE(pending.empty());
+  EiaTable restored(config);
+  reference::ReferencePendingBanks model(config.learn_threshold, config.max_pending_counters);
+  for (const auto& [key, count] : pending) {
+    restored.restore_pending(key, count);
+    model.restore(key, count);
+  }
+  EXPECT_EQ(restored.pending_entries(), pending);
+  EXPECT_EQ(model.entries(), pending);
+  for (std::size_t i = stream.size() / 2; i < stream.size(); ++i) {
+    const auto [ingress, source] = stream[i];
+    const bool learned = original.observe_mismatch(ingress, source, 0);
+    ASSERT_EQ(restored.observe_mismatch(ingress, source, 0), learned) << i;
+    ASSERT_EQ(model.observe(ingress, source), learned) << i;
+  }
+  EXPECT_EQ(restored.pending_entries(), original.pending_entries());
+  EXPECT_EQ(model.entries(), original.pending_entries());
+}
+
+TEST(EiaTable, PendingBanksStayBoundedThroughAMillionSpoofedSlash24s) {
+  EiaTableConfig config;
+  config.learn_threshold = 4;
+  config.max_pending_counters = 100 * EiaTable::kPendingBanks;
+  EiaTable table(config);
+  const std::size_t bound = EiaTable::PendingBank::capacity_for(100);
+  for (std::uint32_t i = 0; i < 1'000'000; ++i) {
+    // i * odd is a bijection mod 2^24: a million distinct /24s.
+    const std::uint32_t key24 = (i * 2654435761u) << 8;
+    table.observe_mismatch(static_cast<IngressId>(9001 + i % 4), net::IPv4Address{key24 | 9u},
+                           0);
+    ASSERT_LE(table.pending_counters(), config.max_pending_counters) << i;
+    ASSERT_LE(table.pending_bank_slots(), bound) << i;
+  }
+  EXPECT_GT(table.stats().pending_rejected, 0u);
+  const auto legit = ip("77.200.1.1");
+  for (int i = 1; i < config.learn_threshold; ++i) {
+    EXPECT_FALSE(table.observe_mismatch(9001, legit, 0));
+  }
   EXPECT_TRUE(table.observe_mismatch(9001, legit, 0));
   EXPECT_TRUE(table.is_expected(9001, ip("77.200.1.200"), 0));
 }

@@ -4,6 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <malloc.h>
+
+#include <string>
+#include <vector>
+
+#include "suspect_state_reference.h"
+#include "util/rng.h"
+
 namespace infilter::core {
 namespace {
 
@@ -172,6 +180,112 @@ TEST(ScanAnalysis, IdlescanPatternTripsHostScan) {
   }
   EXPECT_EQ(verdict, ScanVerdict::kHostScan);
   EXPECT_EQ(flows_needed, 15);
+}
+
+/// A named stream of suspect-flow destinations.
+struct ScanStream {
+  std::string name;
+  std::vector<netflow::V5Record> flows;
+};
+
+/// Random destinations from a small pool (pairs repeat, so pair counts
+/// climb past 1), a one-host:port flood, a network scan (one port, a
+/// sweep of hosts), a host scan (one host, a sweep of ports), and all four
+/// interleaved.
+std::vector<ScanStream> scan_streams() {
+  util::Rng rng{11};
+  std::vector<ScanStream> streams(5);
+  streams[0].name = "random";
+  streams[1].name = "flood";
+  streams[2].name = "network-scan";
+  streams[3].name = "host-scan";
+  streams[4].name = "mixed";
+  for (std::uint32_t i = 0; i < 3000; ++i) {
+    const auto random_flow = flow_to(host(static_cast<std::uint32_t>(rng.below(300))),
+                                     static_cast<std::uint16_t>(rng.below(40)));
+    const auto flood_flow = flow_to(host(7), 53);
+    const auto sweep_flow = flow_to(host(i % 700), 1434);
+    const auto port_flow = flow_to(host(3), static_cast<std::uint16_t>(1 + i % 500));
+    streams[0].flows.push_back(random_flow);
+    streams[1].flows.push_back(flood_flow);
+    streams[2].flows.push_back(sweep_flow);
+    streams[3].flows.push_back(port_flow);
+    const netflow::V5Record* mixed[] = {&random_flow, &flood_flow, &sweep_flow, &port_flow};
+    streams[4].flows.push_back(*mixed[rng.below(4)]);
+  }
+  return streams;
+}
+
+TEST(ScanAnalysis, MatchesTheNodeBasedReferenceAfterEveryFlow) {
+  for (const std::size_t buffer : {1u, 2u, 200u}) {
+    for (const int threshold : {2, 15}) {
+      ScanConfig config;
+      config.buffer_size = buffer;
+      config.network_scan_threshold = threshold;
+      config.host_scan_threshold = threshold + 1;
+      for (const auto& stream : scan_streams()) {
+        ScanAnalysis scan(config);
+        reference::ReferenceScan model(config);
+        for (std::size_t i = 0; i < stream.flows.size(); ++i) {
+          const auto& flow = stream.flows[i];
+          const std::string where = stream.name + " buffer " + std::to_string(buffer) +
+                                    " threshold " + std::to_string(threshold) +
+                                    " flow " + std::to_string(i);
+          ASSERT_EQ(scan.observe(flow), model.observe(flow)) << where;
+          ASSERT_EQ(scan.hosts_on_port(flow.dst_port), model.hosts_on_port(flow.dst_port))
+              << where;
+          ASSERT_EQ(scan.ports_on_host(flow.dst_ip), model.ports_on_host(flow.dst_ip))
+              << where;
+          // A destination the stream may have buffered and since evicted.
+          const auto& earlier = stream.flows[i / 2];
+          ASSERT_EQ(scan.hosts_on_port(earlier.dst_port),
+                    model.hosts_on_port(earlier.dst_port)) << where;
+          ASSERT_EQ(scan.ports_on_host(earlier.dst_ip), model.ports_on_host(earlier.dst_ip))
+              << where;
+          ASSERT_EQ(scan.buffered_flows(), model.buffered_flows()) << where;
+          const auto& got = scan.stats();
+          const auto& want = model.stats();
+          ASSERT_EQ(got.observed, want.observed) << where;
+          ASSERT_EQ(got.network_scans, want.network_scans) << where;
+          ASSERT_EQ(got.host_scans, want.host_scans) << where;
+          ASSERT_EQ(got.evictions, want.evictions) << where;
+        }
+      }
+    }
+  }
+}
+
+TEST(ScanAnalysis, TablesStayBoundedUnderADestinationFlood) {
+  // 10^6 distinct destinations (host, port): every flow is a new pair, a
+  // new host and usually a new port, so every table churns at its bound.
+  ScanAnalysis scan;
+  const std::size_t bound = util::CountTable<std::uint64_t>::capacity_for(
+      scan.config().buffer_size);
+  util::SplitMix64 rng{5};
+  for (int i = 0; i < 1'000'000; ++i) {
+    const std::uint64_t bits = rng.next();
+    scan.observe(flow_to(net::IPv4Address{static_cast<std::uint32_t>(bits)},
+                         static_cast<std::uint16_t>(bits >> 32)));
+    ASSERT_LE(scan.buffered_flows(), scan.config().buffer_size) << i;
+    ASSERT_LE(scan.table_slots(), bound) << i;
+  }
+  EXPECT_EQ(scan.stats().evictions, 1'000'000u - scan.config().buffer_size);
+}
+
+TEST(ScanAnalysis, LargeBufferCommitsNoMemoryUpFront) {
+  // infilter-detect --buffer accepts up to 2^24 flows: construction must
+  // not size the ring or the tables for the whole buffer.
+  const auto heap_bytes = [] {
+    const auto info = mallinfo2();
+    return info.uordblks + info.hblkhd;
+  };
+  const auto before = heap_bytes();
+  ScanConfig config;
+  config.buffer_size = std::size_t{1} << 24;
+  const ScanAnalysis scan(config);
+  const auto after = heap_bytes();
+  EXPECT_LT(after - before, std::size_t{1} << 20);
+  EXPECT_EQ(scan.buffered_flows(), 0u);
 }
 
 }  // namespace
